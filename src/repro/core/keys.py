@@ -7,7 +7,7 @@ check every operator's derived codes against.
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.core.stats import CompareStats
 
@@ -35,13 +35,3 @@ def shared_prefix(a: Sequence, b: Sequence) -> int:
             break
         p += 1
     return p
-
-
-def is_sorted(keys: Iterable[Sequence]) -> bool:
-    """True iff the stream of keys is in non-descending order."""
-    prev = None
-    for k in keys:
-        if prev is not None and tuple(k) < tuple(prev):
-            return False
-        prev = k
-    return True

@@ -35,8 +35,3 @@ def project_stream(
             yield key[:keep_cols], spec_out.duplicate_code, payload
         else:
             yield key[:keep_cols], spec_out.code(off, spec_in.value_of(code)), payload
-
-
-def project_spec(spec_in: OvcSpec, keep_cols: int) -> OvcSpec:
-    """The OvcSpec of the projected stream."""
-    return OvcSpec(keep_cols, spec_in.base, spec_in.descending)

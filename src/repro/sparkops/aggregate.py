@@ -1,13 +1,14 @@
 """In-stream grouping/aggregation and duplicate removal over ``_ovc``.
 
-These operators require their input to come from ``attach_ovc(df, keys,
-partition_on=keys[:G])`` so every group lives in one partition and each
-partition is a sorted coded stream. Group boundaries are then detected
-with ONE integer comparison per row (``boundary_mask``) — the Figure 1
-fast path — and the aggregation itself is a vectorized pandas groupby
-over the derived group ids. Output rows keep the code of their group's
-first input row re-based to the group arity, so downstream operators
-(e.g. the merge join of the intersect plan) can keep consuming codes.
+These operators require their input to be a coded stream per partition
+with every group inside one partition: ``attach_ovc(df, keys,
+partition_on=keys[:G])``, or for ``instream_distinct`` also the output
+of ``merge_join_ovc`` (the intersect plan). Group boundaries are then
+detected with ONE integer comparison per row (``boundary_mask``) — the
+Figure 1 fast path — and the aggregation itself is a vectorized pandas
+groupby over the derived group ids. Output rows keep the code of their
+group's first input row re-based to the group arity, so downstream
+operators can keep consuming codes.
 """
 from __future__ import annotations
 

@@ -23,6 +23,18 @@ from repro.core.ovc import DEFAULT_BASE, OvcSpec, encode_sorted_array
 OVC_COL = "_ovc"
 
 
+def key_array(pdf: pd.DataFrame, keys: Sequence[str]) -> np.ndarray:
+    """The key columns of one batch as an (n, len(keys)) int64 array.
+
+    Raises ``ValueError`` on a null key: the int64 cast would turn it
+    into a garbage value that no code domain holds.
+    """
+    cols = pdf[list(keys)]
+    if cols.isna().to_numpy().any():
+        raise ValueError(f"null value in key columns {list(keys)}")
+    return cols.to_numpy(dtype=np.int64)
+
+
 def attach_ovc(
     df: DataFrame,
     keys: Sequence[str],
@@ -35,7 +47,8 @@ def attach_ovc(
     ``partition_on`` (default: all of ``keys``) chooses the range-
     partitioning prefix; pass the group-by prefix when a downstream
     in-stream aggregation must see whole groups inside one partition.
-    All key columns must be integral and non-negative, below ``base``.
+    All key columns must be integral, non-null and in ``[0, base)``;
+    the executors raise ``ValueError`` otherwise.
     """
     keys = list(keys)
     partition_on = list(partition_on) if partition_on else keys
@@ -57,7 +70,7 @@ def attach_ovc(
     def encode(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         prev_key = None  # carries across Arrow batches of one partition
         for pdf in batches:
-            arr = pdf[keys].to_numpy(dtype=np.int64)
+            arr = key_array(pdf, keys)
             codes = encode_sorted_array(arr, spec, prev_key=prev_key)
             if len(arr):
                 prev_key = tuple(int(x) for x in arr[-1])
@@ -82,7 +95,7 @@ def check_ovc(df: DataFrame, keys: Sequence[str],
         pdf = pd.concat(rows) if rows else None
         ok = True
         if pdf is not None and len(pdf):
-            arr = pdf[keys].to_numpy(dtype=np.int64)
+            arr = key_array(pdf, keys)
             ok = bool(
                 (encode_sorted_array(arr, spec) ==
                  pdf[OVC_COL].to_numpy(dtype=np.int64)).all()

@@ -228,6 +228,11 @@ class TestVectorized:
         with pytest.raises(ValueError):
             encode_sorted_array(np.zeros((3, 2), dtype=np.int64), OvcSpec(3, 10))
 
+    @pytest.mark.parametrize("bad", [-1, 10])
+    def test_encode_rejects_keys_outside_domain(self, bad):
+        with pytest.raises(ValueError, match="outside the code domain"):
+            encode_sorted_array(np.array([[bad, 5]]), OvcSpec(2, 10))
+
 
 class TestSharedPrefix:
     def test_basic(self):

@@ -6,9 +6,14 @@ These are the load-bearing guarantees of the paper:
   brute-force predecessor encoding;
 - column-value comparisons bounded by N x K;
 - every Section 4 operator's output codes equal the brute-force
-  re-encoding of its output stream.
+  re-encoding of its output stream;
+- the vectorized Spark merge-join kernel joins the same row pairs as
+  the row-wise merge join, with codes equal to a fresh encoding.
 """
-from hypothesis import given, settings, strategies as st
+from collections import Counter
+
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.external_sort import sort_in_memory
 from repro.core.operators.dedup import dedup_stream
@@ -16,9 +21,10 @@ from repro.core.operators.filterop import filter_stream
 from repro.core.operators.grouping import group_stream
 from repro.core.operators.merge_join import JoinType, merge_join
 from repro.core.operators.project import project_stream
-from repro.core.ovc import OvcSpec, compare_update
+from repro.core.ovc import OvcSpec, compare_update, encode_sorted_array
 from repro.core.stats import CompareStats
 from repro.core.tree_of_losers import OvcLoserTree
+from repro.sparkops.joins import merge_kernel
 from tests.helpers import assert_valid_coded_stream, bruteforce_codes, coded
 
 SPEC = OvcSpec(arity=3, base=64)
@@ -132,3 +138,40 @@ def test_merge_join_codes(lk, rk, jt):
     lk, rk = sorted(lk), sorted(rk)
     out = list(merge_join(coded(lk, SPEC), coded(rk, SPEC), SPEC, jt))
     assert_valid_coded_stream(out, SPEC)
+
+
+@st.composite
+def join_sides(draw):
+    """Key arity and two key lists with duplicates on both sides."""
+    arity = draw(st.integers(1, 3))
+    key = st.tuples(*[st.integers(0, 2)] * arity)
+    return arity, draw(st.lists(key, max_size=20)), \
+        draw(st.lists(key, max_size=20))
+
+
+@settings(max_examples=150)
+@given(join_sides(), st.sampled_from(list(JoinType)))
+@example((2, [], [(0, 1), (0, 1)]), JoinType.LEFT_OUTER)
+@example((2, [(0, 1), (0, 1), (1, 0)], []), JoinType.LEFT_ANTI)
+def test_merge_kernel_matches_rowwise_merge_join(sides, jt):
+    arity, lk, rk = sides
+    spec = OvcSpec(arity, 8)
+    # The merged partition as the Spark shuffle sorts it: by (key, tag).
+    rows = sorted([(*k, 0) for k in lk] + [(*k, 1) for k in rk])
+    merged = np.array(rows, dtype=np.int64).reshape(-1, arity + 1)
+    keys, tags = merged[:, :arity], merged[:, arity]
+
+    def side(tag):
+        pos = np.flatnonzero(tags == tag).tolist()
+        return coded([rows[i][:arity] for i in pos], spec, payloads=pos)
+
+    want = Counter(
+        (p, -1) if jt in (JoinType.LEFT_SEMI, JoinType.LEFT_ANTI)
+        else (p[0], -1 if p[1] is None else p[1])
+        for _, _, p in merge_join(side(0), side(1), spec, jt)
+    )
+    left_idx, right_idx, codes = merge_kernel(keys, tags, spec, jt)
+    assert Counter(zip(left_idx.tolist(), right_idx.tolist())) == want
+    out = keys[left_idx]
+    assert out.tolist() == sorted(out.tolist())
+    assert codes.tolist() == encode_sorted_array(out, spec).tolist()

@@ -5,6 +5,7 @@ against DuckDB via the oracle.
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.errors import PythonException
 from pyspark.sql import functions as F
 
 from repro.core.ovc import OvcSpec, encode_sorted_array
@@ -134,51 +135,50 @@ class TestInstreamDistinct:
 
 
 class TestMergeJoin:
+    on = ["k"]
+
     @pytest.fixture(scope="class")
     def lr(self, spark):
-        l = uniform_keys(spark, n=800, n_keys=300, seed=10) \
-            .withColumnRenamed("v", "lv")
-        r = uniform_keys(spark, n=600, n_keys=300, seed=11) \
-            .withColumnRenamed("v", "rv")
-        return l.cache(), r.cache()
+        def side(n, seed, v):
+            return uniform_keys(spark, n=n, n_keys=300, seed=seed) \
+                .withColumn("j", (F.col("v") * 3).cast("long")) \
+                .withColumnRenamed("v", v).select(*self.on, v).cache()
+        return side(800, 10, "lv"), side(600, 11, "rv")
+
+    def join_sql(self, how):
+        keys = ", ".join(f"l.{c} as {c}" for c in self.on)
+        match = " and ".join(f"l.{c} = r.{c}" for c in self.on)
+        return f"select {keys}, l.lv as lv, r.rv as rv " \
+               f"from l {how} join r on {match}"
+
+    def exists_sql(self, exists):
+        match = " and ".join(f"l.{c} = r.{c}" for c in self.on)
+        return f"select {', '.join(self.on)}, lv from l " \
+               f"where {exists} (select 1 from r where {match})"
 
     def test_inner_join(self, spark, lr):
         l, r = lr
-        out = merge_join_ovc(l, r, ["k"], "inner", num_partitions=4)
-        assert_equivalent(
-            out.drop(OVC_COL),
-            "select l.k as k, l.lv as lv, r.rv as rv "
-            "from l join r on l.k = r.k",
-            l=l, r=r,
-        )
+        out = merge_join_ovc(l, r, self.on, "inner", num_partitions=4)
+        assert_equivalent(out.drop(OVC_COL), self.join_sql("inner"),
+                          l=l, r=r)
 
     def test_left_semi(self, spark, lr):
         l, r = lr
-        out = merge_join_ovc(l, r, ["k"], "left_semi", num_partitions=4)
-        assert_equivalent(
-            out.drop(OVC_COL),
-            "select k, lv from l where k in (select k from r)",
-            l=l, r=r,
-        )
+        out = merge_join_ovc(l, r, self.on, "left_semi", num_partitions=4)
+        assert_equivalent(out.drop(OVC_COL), self.exists_sql("exists"),
+                          l=l, r=r)
 
     def test_left_anti(self, spark, lr):
         l, r = lr
-        out = merge_join_ovc(l, r, ["k"], "left_anti", num_partitions=4)
-        assert_equivalent(
-            out.drop(OVC_COL),
-            "select k, lv from l where k not in (select k from r)",
-            l=l, r=r,
-        )
+        out = merge_join_ovc(l, r, self.on, "left_anti", num_partitions=4)
+        assert_equivalent(out.drop(OVC_COL), self.exists_sql("not exists"),
+                          l=l, r=r)
 
     def test_left_outer(self, spark, lr):
         l, r = lr
-        out = merge_join_ovc(l, r, ["k"], "left_outer", num_partitions=4)
-        assert_equivalent(
-            out.drop(OVC_COL),
-            "select l.k as k, l.lv as lv, r.rv as rv "
-            "from l left join r on l.k = r.k",
-            l=l, r=r,
-        )
+        out = merge_join_ovc(l, r, self.on, "left_outer", num_partitions=4)
+        assert_equivalent(out.drop(OVC_COL), self.join_sql("left"),
+                          l=l, r=r)
 
     def test_rejects_ambiguous_columns(self, spark):
         df = uniform_keys(spark, n=10, n_keys=5)
@@ -186,13 +186,75 @@ class TestMergeJoin:
             merge_join_ovc(df, df, ["k"])
 
 
+class TestMergeJoinTwoKeys(TestMergeJoin):
+    on = ["k", "j"]
+
+
 class TestIntersectDistinct:
-    def test_matches_sql_intersect(self, spark):
-        t1 = uniform_keys(spark, n=1000, n_keys=400, seed=20).select("k")
-        t2 = uniform_keys(spark, n=1000, n_keys=400, seed=21).select("k")
-        out = intersect_distinct_ovc(t1, t2, ["k"], num_partitions=4)
+    on = ["k"]
+
+    @pytest.fixture(scope="class")
+    def tt(self, spark):
+        def side(seed):
+            return uniform_keys(spark, n=1000, n_keys=400, seed=seed) \
+                .withColumn("j", (F.col("v") * 3).cast("long")) \
+                .select(*self.on).cache()
+        return side(20), side(21)
+
+    def test_matches_sql_intersect(self, spark, tt):
+        t1, t2 = tt
+        out = intersect_distinct_ovc(t1, t2, self.on, num_partitions=4)
+        cols = ", ".join(self.on)
         assert_equivalent(
             out.drop(OVC_COL),
-            "select k from t1 intersect select k from t2",
+            f"select {cols} from t1 intersect select {cols} from t2",
             t1=t1, t2=t2,
         )
+
+    def test_partition_streams_are_sorted_and_coded(self, spark, tt):
+        out = intersect_distinct_ovc(*tt, self.on, num_partitions=4) \
+            .withColumn("pid", F.spark_partition_id()).toPandas()
+        spec = OvcSpec(len(self.on))
+        assert out["pid"].nunique() > 1
+        for _, pdf in out.groupby("pid"):
+            arr = pdf[self.on].to_numpy(dtype=np.int64)
+            assert (arr[np.lexsort(arr.T[::-1])] == arr).all()
+            assert (encode_sorted_array(arr, spec) ==
+                    pdf[OVC_COL].to_numpy()).all()
+
+    def test_runs_one_range_shuffle(self, spark, tt):
+        out = intersect_distinct_ovc(*tt, self.on, num_partitions=4)
+        out.collect()
+        plan = out._jdf.queryExecution().executedPlan().toString()
+        # Adaptive execution appends the initial plan after the final one.
+        final = plan.split("== Initial Plan ==")[0]
+        assert final.count("Exchange rangepartitioning") == 1
+
+
+class TestIntersectDistinctTwoKeys(TestIntersectDistinct):
+    on = ["k", "j"]
+
+
+class TestKeyDomain:
+    """Keys outside ``[0, base)`` or null cannot be coded: the executors
+    must fail rather than return wrong groups."""
+
+    def test_negative_keys_raise(self, spark):
+        df = spark.createDataFrame(
+            pd.DataFrame({"a": [-7, -7, -5, -5, 2]}))
+        out = instream_aggregate(attach_ovc(df, ["a"], num_partitions=1),
+                                 ["a"], 1, {"cnt": ("*", "count")})
+        with pytest.raises(PythonException, match="outside the code domain"):
+            out.collect()
+
+    def test_null_key_raises(self, spark):
+        df = spark.createDataFrame([(1,), (None,), (3,)], "a long")
+        with pytest.raises(PythonException, match="null value in key"):
+            attach_ovc(df, ["a"], num_partitions=1).collect()
+
+    def test_merge_join_rejects_null_key(self, spark):
+        l = spark.createDataFrame([(1,), (None,)], "k long")
+        r = spark.createDataFrame([(1,)], "k long")
+        with pytest.raises(PythonException, match="null value in key"):
+            merge_join_ovc(l, r, ["k"], "left_semi",
+                           num_partitions=1).collect()

@@ -3,16 +3,7 @@ import numpy as np
 import pytest
 
 from repro.oracle import assert_equivalent
-from repro.synth_data import (
-    customer,
-    lineitem,
-    orders,
-    part,
-    uniform_keys,
-    webkeys,
-    webkeys_pandas,
-    zipf_keys,
-)
+from repro.synth_data import uniform_keys, webkeys, webkeys_pandas
 
 
 class TestWebkeys:
@@ -43,36 +34,24 @@ class TestWebkeys:
 
 
 class TestTpchLite:
-    def test_row_counts_scale(self, spark):
-        assert lineitem(spark, sf=0.001).count() == 6000
-        assert orders(spark, sf=0.001).count() == 1500
-        assert customer(spark, sf=0.001).count() == 150
-        assert part(spark, sf=0.001).count() == 200
-
     def test_key_generators(self, spark):
         assert uniform_keys(spark, n=100, n_keys=10).count() == 100
-        assert zipf_keys(spark, n=100, n_keys=10).count() == 100
 
 
 class TestOracle:
     def test_oracle_accepts_correct_result(self, spark):
-        li = lineitem(spark, sf=0.001)
-        got = li.groupBy("l_returnflag").count() \
-                .withColumnRenamed("count", "cnt")
+        wk = webkeys(spark, n=1000, key_cols=2, ratio=5.0)
+        got = wk.groupBy("k0").count().withColumnRenamed("count", "cnt")
         assert_equivalent(
-            got,
-            "select l_returnflag, count(*) as cnt from li group by l_returnflag",
-            li=li,
+            got, "select k0, count(*) as cnt from wk group by k0", wk=wk
         )
 
     def test_oracle_rejects_wrong_result(self, spark):
-        li = lineitem(spark, sf=0.001)
-        wrong = li.limit(10).groupBy("l_returnflag").count() \
+        wk = webkeys(spark, n=1000, key_cols=2, ratio=5.0)
+        wrong = wk.limit(10).groupBy("k0").count() \
                   .withColumnRenamed("count", "cnt")
         with pytest.raises(AssertionError):
             assert_equivalent(
-                wrong,
-                "select l_returnflag, count(*) as cnt from li "
-                "group by l_returnflag",
-                li=li,
+                wrong, "select k0, count(*) as cnt from wk group by k0",
+                wk=wk,
             )
