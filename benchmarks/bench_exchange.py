@@ -7,9 +7,14 @@ compare and the output carries codes for the next operator.
 import numpy as np
 import pytest
 
-from repro.core.ovc import OvcSpec, encode_sorted_array
+from repro.core.ovc import (
+    OvcSpec,
+    compare_full,
+    compare_update,
+    encode_sorted_array,
+)
 from repro.core.stats import CompareStats
-from repro.core.tree_of_losers import OvcLoserTree, PlainLoserTree
+from repro.core.tree_of_losers import OvcLoserTree
 
 N_STREAMS = 8
 ROWS_PER_STREAM = 25_000
@@ -40,12 +45,9 @@ def test_merging_exchange(benchmark, streams, variant):
 
     def run():
         stats = CompareStats()
-        if variant == "ovc":
-            n = sum(1 for _ in OvcLoserTree(
-                [iter(s) for s in streams], spec, stats))
-        else:
-            n = sum(1 for _ in PlainLoserTree(
-                [iter((k, p) for k, _, p in s) for s in streams], stats))
+        compare = compare_update if variant == "ovc" else compare_full
+        n = sum(1 for _ in OvcLoserTree(
+            [iter(s) for s in streams], spec, stats, compare))
         return n, stats
 
     n, stats = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -7,8 +7,8 @@ counters (OVC bounded by N x K, plain pays a log-factor more).
 import numpy as np
 import pytest
 
-from repro.core.external_sort import external_sort, external_sort_plain
-from repro.core.ovc import OvcSpec
+from repro.core.external_sort import external_sort
+from repro.core.ovc import OvcSpec, compare_full, compare_update
 from repro.core.stats import CompareStats
 
 N = 100_000
@@ -34,10 +34,9 @@ def test_external_sort(benchmark, tmp_path, rows, variant):
     def run():
         stats = CompareStats()
         d = str(tmp_path / f"{variant}{next(counter)}")
-        if variant == "ovc":
-            n = sum(1 for _ in external_sort(iter(rows), spec, MEM, d, stats))
-        else:
-            n = sum(1 for _ in external_sort_plain(iter(rows), MEM, d, stats))
+        compare = compare_update if variant == "ovc" else compare_full
+        n = sum(1 for _ in external_sort(iter(rows), spec, MEM, d, stats,
+                                         compare=compare))
         return n, stats
 
     (n, stats) = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -16,16 +16,20 @@ on.
 ``dedup=True`` enables in-sort duplicate removal [10]: duplicates are
 collapsed (with a count payload) both during run generation and during
 the merge, detected by the duplicate code alone.
+
+``compare=compare_full`` gives the baseline sort without OVC: the same
+queues, loads and spills, but every tree match compares full keys and
+the output codes are not maintained (so it cannot deduplicate).
 """
 from __future__ import annotations
 
 import os
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from repro.core.ovc import OvcSpec
-from repro.core.runs import RunFile, RunWriter
+from repro.core.ovc import OvcSpec, compare_update
+from repro.core.runs import RunFile, write_run
 from repro.core.stats import CompareStats
-from repro.core.tree_of_losers import OvcLoserTree, PlainLoserTree
+from repro.core.tree_of_losers import OvcLoserTree
 
 
 def sort_in_memory(
@@ -33,6 +37,7 @@ def sort_in_memory(
     spec: OvcSpec,
     stats: CompareStats | None = None,
     payloads: Sequence | None = None,
+    compare: Callable = compare_update,
 ) -> Iterator[tuple]:
     """Sort one memory load by merging single-row runs; yields
     ``(key, code, payload)`` in sorted order with output OVCs."""
@@ -42,7 +47,12 @@ def sort_in_memory(
         [(tuple(k), spec.prime(k), payloads[i] if payloads is not None else None)]
         for i, k in enumerate(keys)
     ]
-    return iter(OvcLoserTree(streams, spec, stats))
+    return iter(OvcLoserTree(streams, spec, stats, compare))
+
+
+def _check_dedup(dedup: bool, compare: Callable) -> None:
+    if dedup and compare is not compare_update:
+        raise ValueError("dedup needs the output codes of compare_update")
 
 
 def _dedup_stream(stream: Iterable, spec: OvcSpec,
@@ -73,6 +83,7 @@ def generate_runs(
     stats: CompareStats | None = None,
     dedup: bool = False,
     tag: str = "run",
+    compare: Callable = compare_update,
 ) -> tuple[list[RunFile], Iterator[tuple] | None]:
     """Run generation. ``rows`` yields ``(key, payload)``.
 
@@ -83,6 +94,7 @@ def generate_runs(
     """
     if memory_rows < 1:
         raise ValueError("memory_rows must be >= 1")
+    _check_dedup(dedup, compare)
     it = iter(rows)
     runs: list[RunFile] = []
     first_load: list[tuple] | None = None
@@ -99,7 +111,7 @@ def generate_runs(
             break
         any_input = True
         sorted_stream = sort_in_memory(
-            [r[0] for r in load], spec, stats, [r[1] for r in load]
+            [r[0] for r in load], spec, stats, [r[1] for r in load], compare
         )
         if dedup:
             sorted_stream = _dedup_stream(sorted_stream, spec)
@@ -108,14 +120,16 @@ def generate_runs(
             return [], sorted_stream
         if first_load is not None:
             # second load arrived: spill the buffered first load now
-            runs.append(_spill(first_load, tmpdir, tag, 0, spec, stats))
+            runs.append(write_run(os.path.join(tmpdir, f"{tag}-0.arrow"),
+                                  first_load, spec, stats))
             first_load = None
         if not runs and first_load is None and len(load) == memory_rows:
             # might still be the only load; buffer it until we know
             first_load = list(sorted_stream)
             n_run += 1
             continue
-        runs.append(_spill(sorted_stream, tmpdir, tag, n_run, spec, stats))
+        runs.append(write_run(os.path.join(tmpdir, f"{tag}-{n_run}.arrow"),
+                              sorted_stream, spec, stats))
         n_run += 1
     if first_load is not None:
         # exactly one full memory load: still fits, return directly
@@ -125,23 +139,17 @@ def generate_runs(
     return runs, None
 
 
-def _spill(stream: Iterable, tmpdir: str, tag: str, idx: int,
-           spec: OvcSpec, stats: CompareStats | None) -> RunFile:
-    w = RunWriter(os.path.join(tmpdir, f"{tag}-{idx}.arrow"), spec, stats)
-    for key, code, payload in stream:
-        w.write(key, code, payload)
-    return w.close()
-
-
 def merge_runs(
     runs: Sequence[RunFile],
     spec: OvcSpec,
     stats: CompareStats | None = None,
     dedup: bool = False,
+    compare: Callable = compare_update,
 ) -> Iterator[tuple]:
     """Multiway merge of spilled runs via a tree-of-losers queue,
     consuming the stored OVCs and producing output OVCs."""
-    merged = iter(OvcLoserTree(list(runs), spec, stats))
+    _check_dedup(dedup, compare)
+    merged = iter(OvcLoserTree(list(runs), spec, stats, compare))
     return _dedup_stream(merged, spec, counts_in=True) if dedup else merged
 
 
@@ -153,66 +161,16 @@ def external_sort(
     stats: CompareStats | None = None,
     dedup: bool = False,
     tag: str = "sort",
+    compare: Callable = compare_update,
 ) -> Iterator[tuple]:
     """Full external sort: yields ``(key, code, payload)`` sorted with
     output OVCs. Spills each row at most once."""
-    runs, in_mem = generate_runs(rows, spec, memory_rows, tmpdir, stats, dedup, tag)
+    runs, in_mem = generate_runs(rows, spec, memory_rows, tmpdir, stats,
+                                 dedup, tag, compare)
     if in_mem is not None:
         # generate_runs already deduplicated the in-memory stream.
         yield from in_mem
         return
-    yield from merge_runs(runs, spec, stats, dedup)
+    yield from merge_runs(runs, spec, stats, dedup, compare)
     for r in runs:
         r.delete()
-
-
-def external_sort_plain(
-    rows: Iterable[tuple],
-    memory_rows: int,
-    tmpdir: str,
-    stats: CompareStats | None = None,
-) -> Iterator[tuple]:
-    """Baseline external sort without OVC: tree-of-losers queues with
-    full key comparisons everywhere; same spill behaviour. ``rows``
-    yields ``(key, payload)``; output is ``(key, payload)``.
-
-    Spill format note: runs are written through the same Arrow run files
-    with code 0 so the I/O path is identical to the OVC variant and only
-    the comparison logic differs — exactly what Figure 1/3 isolate.
-    """
-    import itertools
-
-    it = iter(rows)
-    runs: list[RunFile] = []
-    loads: list[list[tuple]] = []  # sorted loads buffered before first spill
-    n_run = 0
-    spec: OvcSpec | None = None
-    while True:
-        load = list(itertools.islice(it, memory_rows))
-        if not load:
-            break
-        if spec is None:
-            spec = OvcSpec(len(load[0][0]))
-        loads.append(list(PlainLoserTree([[r] for r in load], stats)))
-        if runs or len(loads) > 1:  # input is definitely external
-            while loads:
-                w = RunWriter(
-                    os.path.join(tmpdir, f"plain-{n_run}.arrow"), spec, stats
-                )
-                for key, payload in loads.pop(0):
-                    w.write(key, 0, payload)
-                runs.append(w.close())
-                n_run += 1
-    if loads:  # whole input fit in one memory load: never spilled
-        return iter(loads[0])
-    if not runs:
-        return iter(())
-    plain_streams = [((k, p) for k, _c, p in r) for r in runs]
-    out = PlainLoserTree(plain_streams, stats)
-
-    def _drain():
-        yield from out
-        for r in runs:
-            r.delete()
-
-    return _drain()

@@ -23,6 +23,8 @@ The fundamental results of Section 4 are implemented here:
   they differ (Iyer's lemma: the loser keeps its code), fall back to
   column comparisons from the offset on, and re-encode the loser
   relative to the winner.
+- ``compare_full`` — the baseline with the same signature: ignore codes
+  and compare keys column by column from column 0.
 
 Fences: ``late_fence_code`` sorts after every valid code and stands in
 for exhausted merge inputs; like F1 Query (Section 5) the fence is
@@ -36,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.keys import Key, shared_prefix
+from repro.core.keys import Key, compare_keys, shared_prefix
 from repro.core.stats import CompareStats
 
 #: Default column domain: 32-bit unsigned values, so a code fits in an
@@ -197,6 +199,30 @@ def compare_update(
     if key_a[j] < key_b[j]:
         return True, spec.code(j, key_b[j])
     return False, spec.code(j, key_a[j])
+
+
+def compare_full(
+    spec: OvcSpec,
+    key_a: Sequence | None,
+    code_a: int,
+    key_b: Sequence | None,
+    code_b: int,
+    stats: CompareStats | None = None,
+) -> tuple[bool, int]:
+    """Baseline tournament comparison without codes: every match
+    compares the keys from column 0 on, which is what OVC avoids.
+
+    Same signature and tie rule as ``compare_update`` (a fence, i.e. a
+    ``None`` key, loses), but codes are ignored and not maintained: the
+    loser keeps whatever code it had.
+    """
+    if stats is not None:
+        stats.row_cmps += 1
+    if key_a is None:
+        return False, code_a
+    if key_b is None or compare_keys(key_a, key_b, stats) <= 0:
+        return True, code_b
+    return False, code_a
 
 
 # --- vectorized batch encode/decode (the "columnar scan" fast path) ---

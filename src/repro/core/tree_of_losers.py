@@ -1,4 +1,4 @@
-"""Tree-of-losers priority queues (tournament trees), plain and OVC.
+"""Tree-of-losers priority queue (tournament tree), with or without OVC.
 
 Software equivalent of IBM's UPT "update tree" instruction (paper
 Section 3). The tree is a balanced binary tree embedded in an array:
@@ -13,6 +13,11 @@ relative to the winner, so ``repro.core.ovc.compare_update`` applies at
 every node and most comparisons are decided by one integer compare.
 Exhausted inputs become late fences folded into the code word.
 
+The comparison is the only thing that varies: ``compare=compare_full``
+turns the same tree into the paper's baseline, which ignores codes and
+compares keys column by column at every node (Section 3). Under it the
+output codes are not maintained.
+
 Streams yield ``(key, code, payload)`` triples: ``key`` a tuple of ints,
 ``code`` the row's ascending OVC relative to its predecessor *within the
 same stream* (the first row primed at offset 0), ``payload`` opaque.
@@ -22,9 +27,8 @@ free (Sections 3 and 4.9).
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from repro.core.keys import compare_keys
 from repro.core.ovc import OvcSpec, compare_update
 from repro.core.stats import CompareStats
 
@@ -37,7 +41,9 @@ class OvcLoserTree:
     ``streams`` is a sequence of iterators/iterables of
     ``(key, code, payload)``. Iterate the instance to get the merged
     stream with output OVCs. ``stats`` counts row comparisons, code-only
-    decisions, and column-value comparisons.
+    decisions, and column-value comparisons. ``compare`` plays one match;
+    it has the signature of ``compare_update`` (the default) or
+    ``compare_full`` (the full-key baseline).
     """
 
     def __init__(
@@ -45,11 +51,13 @@ class OvcLoserTree:
         streams: Sequence[Iterable],
         spec: OvcSpec,
         stats: CompareStats | None = None,
+        compare: Callable = compare_update,
     ) -> None:
         if not streams:
             raise ValueError("need at least one input stream")
         self.spec = spec
         self.stats = stats
+        self._compare = compare
         m = 1
         while m < len(streams):
             m *= 2
@@ -72,7 +80,7 @@ class OvcLoserTree:
     def _play(self, a: Entry, b: Entry) -> tuple[Entry, Entry]:
         """One tournament match; returns (winner, loser) with the
         loser's code updated relative to the winner."""
-        a_wins, loser_code = compare_update(
+        a_wins, loser_code = self._compare(
             self.spec, a[0], a[1], b[0], b[1], self.stats
         )
         if a_wins:
@@ -111,72 +119,3 @@ class OvcLoserTree:
             self._nodes[node] = loser
             node //= 2
         self._nodes[0] = cur
-
-
-class PlainLoserTree:
-    """Baseline tree-of-losers merge using full key comparisons only.
-
-    Streams yield ``(key, payload)``; output is ``(key, payload)``.
-    Every match compares keys column by column from column 0, which is
-    what OVC avoids — ``stats.col_cmps`` shows the difference.
-    """
-
-    def __init__(
-        self,
-        streams: Sequence[Iterable],
-        stats: CompareStats | None = None,
-    ) -> None:
-        if not streams:
-            raise ValueError("need at least one input stream")
-        self.stats = stats
-        m = 1
-        while m < len(streams):
-            m *= 2
-        self._m = m
-        self._streams = [iter(s) for s in streams] + [iter(())] * (m - len(streams))
-        self._nodes: list[tuple | None] = [None] * m
-        self._nodes[0] = self._build(1) if m > 1 else self._fetch(0)
-
-    def _fetch(self, leaf: int) -> tuple:
-        try:
-            key, payload = next(self._streams[leaf])
-        except StopIteration:
-            return (None, None, leaf)
-        return (key, payload, leaf)
-
-    def _play(self, a: tuple, b: tuple) -> tuple[tuple, tuple]:
-        if self.stats is not None:
-            self.stats.row_cmps += 1
-        if a[0] is None:
-            return b, a
-        if b[0] is None:
-            return a, b
-        if compare_keys(a[0], b[0], self.stats) <= 0:
-            return a, b
-        return b, a
-
-    def _build(self, node: int) -> tuple:
-        if node >= self._m:
-            return self._fetch(node - self._m)
-        w_l = self._build(2 * node)
-        w_r = self._build(2 * node + 1)
-        winner, loser = self._play(w_l, w_r)
-        self._nodes[node] = loser
-        return winner
-
-    def __iter__(self) -> Iterator[tuple]:
-        while True:
-            winner = self._nodes[0]
-            assert winner is not None
-            if winner[0] is None:
-                return
-            yield winner[0], winner[1]
-            cur = self._fetch(winner[2])
-            node = (self._m + winner[2]) // 2
-            while node >= 1:
-                incumbent = self._nodes[node]
-                assert incumbent is not None
-                cur, loser = self._play(cur, incumbent)
-                self._nodes[node] = loser
-                node //= 2
-            self._nodes[0] = cur

@@ -68,7 +68,8 @@ def hash_aggregate(
                 itertools.chain(head, it), arity, n_parts, tmpdir, tag, stats
             )
             for part in parts:
-                table = _agg_in_memory(part, agg, init, arity, stats)
+                table = _agg_in_memory(((k, p) for k, _, p in part),
+                                       agg, init, arity, stats)
                 yield from table.items()
                 part.delete()
             return

@@ -61,7 +61,9 @@ def hash_join(
                 probe, arity, n_parts, tmpdir, f"{tag}-p", stats
             )
             for bp, pp in zip(b_parts, p_parts):
-                yield from _join_in_memory(bp, pp, arity, stats)
+                yield from _join_in_memory(((k, p) for k, _, p in bp),
+                                           ((k, p) for k, _, p in pp),
+                                           arity, stats)
                 bp.delete()
                 pp.delete()
             return

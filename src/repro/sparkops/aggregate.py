@@ -77,6 +77,9 @@ def instream_aggregate(
             if how == "count":
                 out[out_col] = np.diff(np.append(starts, len(pdf)))
             else:
+                if pdf[src].isna().any():
+                    # the int64 cast would turn a null into garbage
+                    raise ValueError(f"null value in aggregated column {src!r}")
                 col = pdf[src].to_numpy(dtype=np.int64)
                 ufunc = {"sum": np.add, "min": np.minimum,
                          "max": np.maximum}[how]

@@ -14,10 +14,10 @@ So a scan reproduces, row by row, the offset-value codes that the sort
 which created the run had computed — "practically for free", with zero
 column value comparisons. ``scan_with_ovc`` returns exactly those codes.
 
-File layout: one Arrow IPC file holding a single record batch. Arrays
-of different logical lengths (RLE arrays are much shorter than the row
-count) are padded to a common width; true lengths live in the schema
-metadata.
+File layout: one Arrow IPC file holding a single record batch. Key
+column ``k{i}`` is an Arrow ``run_end_encoded`` array, so only its run
+values and run ends are stored; payload columns are flat int64. Row
+count, arity, base and payload names live in the schema metadata.
 """
 from __future__ import annotations
 
@@ -27,25 +27,10 @@ from typing import Iterator
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.ipc as ipc
 
 from repro.core.ovc import OvcSpec
-
-_PAD = np.int64(-(1 << 62))  # ragged-column padding sentinel
-
-
-def _rle_encode(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(values, run_lengths) with runs broken on value change only."""
-    n = len(col)
-    if n == 0:
-        return np.zeros(0, np.int64), np.zeros(0, np.int64)
-    starts = np.flatnonzero(np.concatenate(([True], col[1:] != col[:-1])))
-    lengths = np.diff(np.concatenate((starts, [n])))
-    return col[starts].astype(np.int64), lengths.astype(np.int64)
-
-
-def _rle_decode(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    return np.repeat(values, lengths)
 
 
 class ColumnarRun:
@@ -60,62 +45,46 @@ class ColumnarRun:
         self.arity: int = meta["arity"]
         self.base: int = meta["base"]
         self.payload_names: list[str] = meta["payloads"]
-        self._lengths: dict[str, int] = meta["lengths"]
 
     @property
     def spec(self) -> OvcSpec:
         return OvcSpec(self.arity, self.base)
 
-    def _arrays(self) -> dict[str, np.ndarray]:
-        """All stored arrays trimmed to their true lengths."""
+    def _read(self) -> tuple[list[tuple[np.ndarray, np.ndarray]], dict]:
+        """``(values, run lengths)`` of every key column, and the
+        payload-column dict."""
         with pa.OSFile(self.path, "rb") as f:
-            reader = ipc.open_file(f)
-            batch = reader.get_batch(0) if reader.num_record_batches else None
-        out = {}
-        for name, ln in self._lengths.items():
-            if batch is None:
-                out[name] = np.zeros(0, np.int64)
-            else:
-                i = batch.schema.names.index(name)
-                out[name] = batch.column(i).to_numpy(zero_copy_only=False)[:ln]
-        return out
+            batch = ipc.open_file(f).get_batch(0)
+        runs = []
+        for i in range(self.arity):
+            col = batch.column(f"k{i}")
+            runs.append((col.values.to_numpy(),
+                         np.diff(col.run_ends.to_numpy(), prepend=0)))
+        return runs, {m: batch.column(m).to_numpy()
+                      for m in self.payload_names}
 
     def read_columns(self) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         """Decode to (keys (n, K) int64, payload-column dict)."""
-        arrays = self._arrays()
-        if self.n_rows == 0:
-            keys = np.zeros((0, self.arity), np.int64)
-        else:
-            keys = np.column_stack(
-                [_rle_decode(arrays[f"v{i}"], arrays[f"l{i}"])
-                 for i in range(self.arity)]
-            )
-        return keys, {m: arrays[m] for m in self.payload_names}
+        runs, payloads = self._read()
+        return np.column_stack([np.repeat(v, l) for v, l in runs]), payloads
 
     def scan_with_ovc(self) -> tuple[np.ndarray, np.ndarray, dict]:
         """Return (keys, codes, payloads). Codes are derived from RLE
         run starts only — no value comparisons (see module docstring)."""
-        arrays = self._arrays()
+        runs, payloads = self._read()
         n, k, base = self.n_rows, self.arity, self.base
-        if n == 0:
-            return (np.zeros((0, k), np.int64), np.zeros(0, np.int64),
-                    {m: arrays[m] for m in self.payload_names})
         offsets = np.full(n, k, dtype=np.int64)
         values = np.zeros(n, dtype=np.int64)
-        key_cols = []
         # Walk columns from last to first so the smallest column index
         # with a run start wins (it overwrites later columns' marks).
         for c in range(k - 1, -1, -1):
-            v, l = arrays[f"v{c}"], arrays[f"l{c}"]
-            starts = np.concatenate(([0], np.cumsum(l)[:-1])) if len(l) else \
-                np.zeros(0, np.int64)
+            v, l = runs[c]
+            starts = np.cumsum(l) - l
             offsets[starts] = c
             values[starts] = v
-            key_cols.append(_rle_decode(v, l))
-        keys = np.column_stack(key_cols[::-1])
+        keys = np.column_stack([np.repeat(v, l) for v, l in runs])
         codes = np.where(offsets < k, (k - offsets) * base + values, 0)
-        return keys, codes.astype(np.int64), \
-            {m: arrays[m] for m in self.payload_names}
+        return keys, codes.astype(np.int64), payloads
 
     def iter_rows(self) -> Iterator[tuple]:
         """Row-at-a-time coded stream ``(key, code, payload0)`` —
@@ -160,43 +129,31 @@ def write_columnar_run(
         ).all():
             raise ValueError("keys are not sorted")
     payloads = payloads or {}
-    reserved = {f"v{i}" for i in range(k)} | {f"l{i}" for i in range(k)}
-    arrays: dict[str, np.ndarray] = {}
-    for i in range(k):
-        col = keys[:, i] if n else np.zeros(0, np.int64)
-        arrays[f"v{i}"], arrays[f"l{i}"] = _rle_encode(col)
+    names = [f"k{i}" for i in range(k)]
+    cols = [pc.run_end_encode(pa.array(keys[:, i]), run_end_type=pa.int64())
+            for i in range(k)]
     for name, arr in payloads.items():
-        if name in reserved:
+        if name in names:
             raise ValueError(f"payload name {name!r} is reserved")
         arr = np.asarray(arr, dtype=np.int64)
         if len(arr) != n:
             raise ValueError(f"payload {name} has wrong length")
-        arrays[name] = arr
-    width = max((len(a) for a in arrays.values()), default=0)
-    fields, cols = [], []
-    for name, arr in arrays.items():
-        padded = np.full(width, _PAD, dtype=np.int64)
-        padded[: len(arr)] = arr
-        fields.append(pa.field(name, pa.int64()))
-        cols.append(pa.array(padded))
-    meta = {
-        "n_rows": n, "arity": k, "base": spec.base,
-        "payloads": list(payloads),
-        "lengths": {name: len(arr) for name, arr in arrays.items()},
-    }
-    schema = pa.schema(fields, metadata={b"repro": json.dumps(meta).encode()})
+        names.append(name)
+        cols.append(pa.array(arr))
+    meta = {"n_rows": n, "arity": k, "base": spec.base,
+            "payloads": list(payloads)}
+    batch = pa.record_batch(cols, names=names).replace_schema_metadata(
+        {b"repro": json.dumps(meta).encode()})
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
     with pa.OSFile(path, "wb") as sink:
-        with ipc.new_file(sink, schema) as writer:
-            if width:
-                writer.write_batch(pa.record_batch(cols, schema=schema))
+        with ipc.new_file(sink, batch.schema) as writer:
+            writer.write_batch(batch)
     return ColumnarRun(path)
 
 
 def compressed_key_cells(run: ColumnarRun) -> int:
-    """Total stored RLE cells across key columns (values + lengths) —
+    """Total stored RLE cells across key columns (values + run ends) —
     the compression metric reported in the storage benchmarks."""
-    return sum(run._lengths[f"v{i}"] + run._lengths[f"l{i}"]
-               for i in range(run.arity))
+    return sum(2 * len(v) for v, _ in run._read()[0])

@@ -72,7 +72,8 @@ class OvcDataSource(DataSource):
 
 
 class OvcReader(DataSourceReader):
-    """One input partition per columnar run; rows carry their scan OVC."""
+    """One input partition per columnar run, read as one Arrow record
+    batch; rows carry their scan OVC."""
 
     def __init__(self, path: str) -> None:
         self.path = path
@@ -82,13 +83,17 @@ class OvcReader(DataSourceReader):
         return [InputPartition(p) for p in self.runs]
 
     def read(self, partition: InputPartition):
-        # Runs on executors: decode one run; zero key comparisons.
+        # Runs on executors: decode one run into one Arrow batch; zero
+        # key comparisons, no per-row Python.
+        import pyarrow as pa
+
         from repro.storage.columnar import ColumnarRun
 
         run = ColumnarRun(partition.value)
         keys, codes, payloads = run.scan_with_ovc()
-        pay_cols = [payloads[n] for n in self.payload_names]
-        for i in range(len(keys)):
-            yield tuple(int(x) for x in keys[i]) + tuple(
-                int(c[i]) for c in pay_cols
-            ) + (int(codes[i]),)
+        names = [f"k{i}" for i in range(self.arity)]
+        cols = [keys[:, i] for i in range(self.arity)]
+        names += self.payload_names + ["_ovc"]
+        cols += [payloads[n] for n in self.payload_names] + [codes]
+        yield pa.RecordBatch.from_arrays([pa.array(c) for c in cols],
+                                         names=names)

@@ -4,12 +4,11 @@ import pytest
 
 from repro.core.external_sort import (
     external_sort,
-    external_sort_plain,
     generate_runs,
     merge_runs,
     sort_in_memory,
 )
-from repro.core.ovc import OvcSpec
+from repro.core.ovc import OvcSpec, compare_full
 from repro.core.runs import RunFile, write_run
 from repro.core.stats import CompareStats
 
@@ -181,13 +180,20 @@ class TestExternalSort:
         assert [k for k, _, _ in out] == sorted(all_rows)
 
 
+def plain_sort(rows, mem, tmpdir, stats=None, arity=3):
+    """The baseline: ``external_sort`` with full-key comparisons; drops
+    the codes, which it does not maintain."""
+    return [(k, p) for k, _, p in external_sort(
+        rows, OvcSpec(arity, 100), mem, tmpdir, stats, compare=compare_full)]
+
+
 class TestExternalSortPlain:
     @pytest.mark.parametrize("n,mem", [(0, 10), (50, 100), (100, 100),
                                        (345, 50)])
     def test_matches_sorted(self, tmp_path, n, mem):
         rng = np.random.default_rng(n * 7 + mem)
         rows = random_rows(rng, n)
-        out = list(external_sort_plain(iter(rows), mem, str(tmp_path)))
+        out = plain_sort(iter(rows), mem, str(tmp_path))
         assert [k for k, _ in out] == sorted(r[0] for r in rows)
 
     def test_spills_match_ovc_variant(self, tmp_path):
@@ -195,7 +201,7 @@ class TestExternalSortPlain:
         rows = random_rows(rng, 300)
         s_ovc, s_plain = CompareStats(), CompareStats()
         list(external_sort(iter(rows), SPEC, 64, str(tmp_path / "a"), s_ovc))
-        list(external_sort_plain(iter(rows), 64, str(tmp_path / "b"), s_plain))
+        plain_sort(iter(rows), 64, str(tmp_path / "b"), s_plain)
         assert s_ovc.rows_spilled == s_plain.rows_spilled == 300
 
     def test_ovc_needs_fewer_column_comparisons(self, tmp_path):
@@ -205,7 +211,48 @@ class TestExternalSortPlain:
         s_ovc, s_plain = CompareStats(), CompareStats()
         a = [k for k, _, _ in external_sort(iter(rows), spec, 100,
                                             str(tmp_path / "a"), s_ovc)]
-        b = [k for k, _ in external_sort_plain(iter(rows), 100,
-                                              str(tmp_path / "b"), s_plain)]
+        b = [k for k, _ in plain_sort(iter(rows), 100, str(tmp_path / "b"),
+                                      s_plain, arity=5)]
         assert a == b
         assert s_ovc.col_cmps < s_plain.col_cmps
+
+    def test_rejects_dedup(self, tmp_path):
+        # dedup reads the duplicate code, which compare_full does not form
+        with pytest.raises(ValueError, match="dedup"):
+            list(external_sort(iter([((1, 1, 1), None)]), SPEC, 10,
+                               str(tmp_path), dedup=True,
+                               compare=compare_full))
+
+
+class TestSortCounters:
+    """Exact counters of the supplementary sort benchmark's input
+    (``benchmarks/bench_sort_ovc.py``: seed 2023, 100k rows, 8 key
+    columns, memory 10k rows). The OVC sort and its full-key baseline
+    run one tree of losers, so they play the same matches and spill the
+    same rows; only the column comparisons differ."""
+
+    N, MEM, ARITY = 100_000, 10_000, 8
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        rng = np.random.default_rng(2023)
+        n = self.N
+        cols = [rng.choice([0, 1], n, p=[0.9, 0.1]) for _ in range(4)]
+        cols += [rng.integers(0, 3, n) for _ in range(4)]
+        keys = np.column_stack(cols)
+        return [(tuple(int(x) for x in keys[i]), i) for i in range(n)]
+
+    def test_ovc_and_plain_counters(self, tmp_path, rows):
+        spec = OvcSpec(self.ARITY)
+        s_ovc, s_plain = CompareStats(), CompareStats()
+        out_o = [(k, p) for k, _, p in external_sort(
+            iter(rows), spec, self.MEM, str(tmp_path / "a"), s_ovc)]
+        out_p = [(k, p) for k, _, p in external_sort(
+            iter(rows), spec, self.MEM, str(tmp_path / "b"), s_plain,
+            compare=compare_full)]
+        assert out_o == out_p
+        assert (s_plain.row_cmps, s_plain.col_cmps, s_plain.rows_spilled,
+                s_plain.code_decided) == (1_963_845, 10_686_273, 100_000, 0)
+        assert (s_ovc.row_cmps, s_ovc.code_decided, s_ovc.col_cmps,
+                s_ovc.rows_spilled) == (1_963_845, 1_092_304, 699_373,
+                                        100_000)

@@ -8,6 +8,7 @@ from repro.core.stats import CompareStats
 from repro.hashexec.hash_agg import hash_aggregate, hash_distinct
 from repro.hashexec.hash_join import hash_join
 from repro.hashexec.spill import partition_to_disk
+from repro.sparkops.plans import hash_intersect_plan
 
 
 def rand_rows(rng, n, dom, arity=2):
@@ -26,16 +27,18 @@ class TestSpill:
         assert stats.rows_spilled == 123
         assert stats.hash_ops == 123 and stats.col_accesses == 246
         got = [r for p in parts for r in p]
-        assert sorted(got) == sorted(rows)
+        # run files of repro.core.runs, with code 0
+        assert sorted((k, pay) for k, _, pay in got) == sorted(rows)
+        assert {c for _, c, _ in got} == {0}
         # each partition holds only keys hashing to it
         for q, p in enumerate(parts):
-            for key, _ in p:
+            for key, _, _ in p:
                 assert hash(key) % 4 == q
 
     def test_none_payload_roundtrip(self, tmp_path):
         parts = partition_to_disk(iter([((1, 2), None)]), 2, 2,
                                   str(tmp_path), "t")
-        assert [r for p in parts for r in p] == [((1, 2), None)]
+        assert [r for p in parts for r in p] == [((1, 2), 0, None)]
 
 
 class TestHashAggregate:
@@ -120,3 +123,17 @@ class TestHashJoin:
         list(hash_join(iter(build), iter(probe), 3, 1000, str(tmp_path),
                        stats, n_build_hint=100))
         assert stats.col_accesses == 200 * 3
+
+
+class TestHashPlanCounters:
+    def test_rowwise_intersect_counters(self, tmp_path):
+        # Figure 3's row-wise hash plan at 200k rows per input and 20k
+        # rows of memory: every input row spills in its dedup and each
+        # distinct row again in the join.
+        rng = np.random.default_rng(2023)
+        t1 = rng.integers(0, 400_000, 200_000)
+        t2 = rng.integers(0, 400_000, 200_000)
+        res = hash_intersect_plan(t1, t2, 20_000, str(tmp_path))
+        assert res.n_out == len(np.intersect1d(t1, t2))
+        assert res.stats.rows_spilled == 714_877
+        assert res.stats.hash_ops == 1_429_754

@@ -3,7 +3,8 @@
 These are the load-bearing guarantees of the paper:
 - the theorem ovc(A,C) = max(ovc(A,B), ovc(B,C)) for arbitrary triples;
 - tree-of-losers sort output == sorted(input) with codes equal to the
-  brute-force predecessor encoding;
+  brute-force predecessor encoding, and the full-key baseline comparator
+  plays the same matches with the same winners;
 - column-value comparisons bounded by N x K;
 - every Section 4 operator's output codes equal the brute-force
   re-encoding of its output stream;
@@ -21,7 +22,12 @@ from repro.core.operators.filterop import filter_stream
 from repro.core.operators.grouping import group_stream
 from repro.core.operators.merge_join import JoinType, merge_join
 from repro.core.operators.project import project_stream
-from repro.core.ovc import OvcSpec, compare_update, encode_sorted_array
+from repro.core.ovc import (
+    OvcSpec,
+    compare_full,
+    compare_update,
+    encode_sorted_array,
+)
 from repro.core.stats import CompareStats
 from repro.core.tree_of_losers import OvcLoserTree
 from repro.sparkops.joins import merge_kernel
@@ -61,6 +67,20 @@ def test_compare_update_consistent_with_order(base, a, b):
     assert loser_code == spec.encode_rel(w, l)
 
 
+@given(st.tuples(*[st.integers(0, 9)] * 3),
+       st.tuples(*[st.integers(0, 9)] * 3),
+       st.integers(0, 100), st.integers(0, 100))
+def test_compare_full_consistent_with_order(a, b, ca, cb):
+    # Codes are ignored: any codes give the key order, ties to a, and
+    # one column comparison per column up to the first difference.
+    stats = CompareStats()
+    a_wins, _ = compare_full(SPEC, a, ca, b, cb, stats)
+    assert a_wins == (a <= b)
+    first_diff = next((j for j in range(3) if a[j] != b[j]), 2)
+    assert (stats.row_cmps, stats.code_decided, stats.col_cmps) == \
+        (1, 0, first_diff + 1)
+
+
 @settings(max_examples=60)
 @given(nonempty_keys_st)
 def test_inmemory_sort_sound_and_coded(keys):
@@ -87,6 +107,32 @@ def test_multiway_merge_sound(streams):
     assert [k for k, _, _ in out] == sorted(
         k for s in streams for k, _, _ in s
     )
+
+
+@settings(max_examples=40)
+@given(st.lists(keys_st, min_size=1, max_size=6))
+def test_multiway_merge_full_compare_plays_same_matches(streams):
+    streams = [coded(sorted(s), SPEC, payloads=[(i, j) for j in range(len(s))])
+               for i, s in enumerate(streams)]
+    s_ovc, s_full = CompareStats(), CompareStats()
+    out_o = [(k, p) for k, _, p in OvcLoserTree(streams, SPEC, s_ovc)]
+    out_f = [(k, p) for k, _, p in OvcLoserTree(streams, SPEC, s_full,
+                                                compare_full)]
+    assert out_f == out_o
+    assert s_full.row_cmps == s_ovc.row_cmps
+
+
+@settings(max_examples=60)
+@given(nonempty_keys_st)
+def test_inmemory_sort_full_compare_matches_ovc(keys):
+    pays = list(range(len(keys)))
+    s_ovc, s_full = CompareStats(), CompareStats()
+    out_o = [(k, p) for k, _, p in sort_in_memory(keys, SPEC, s_ovc, pays)]
+    out_f = [(k, p) for k, _, p in sort_in_memory(keys, SPEC, s_full, pays,
+                                                  compare_full)]
+    assert out_f == out_o
+    assert [k for k, _ in out_f] == sorted(keys)
+    assert s_full.row_cmps == s_ovc.row_cmps
 
 
 @settings(max_examples=60)

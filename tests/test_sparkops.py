@@ -252,6 +252,16 @@ class TestKeyDomain:
         with pytest.raises(PythonException, match="null value in key"):
             attach_ovc(df, ["a"], num_partitions=1).collect()
 
+    @pytest.mark.parametrize("how", ["sum", "min", "max"])
+    def test_null_in_aggregated_column_raises(self, spark, how):
+        # A null cast to int64 became -2**63: sum of [1, null, 3] was
+        # -9223372036854775804.
+        df = spark.createDataFrame([(1, 1), (1, None), (1, 3)], "a long, v long")
+        out = instream_aggregate(attach_ovc(df, ["a"], num_partitions=1),
+                                 ["a"], 1, {"s": ("v", how)})
+        with pytest.raises(PythonException, match="null value in aggregated"):
+            out.collect()
+
     def test_merge_join_rejects_null_key(self, spark):
         l = spark.createDataFrame([(1,), (None,)], "k long")
         r = spark.createDataFrame([(1,)], "k long")

@@ -6,8 +6,6 @@ from repro.core.ovc import OvcSpec, encode_sorted_array
 from repro.core.stats import CompareStats
 from repro.storage.columnar import (
     ColumnarRun,
-    _rle_decode,
-    _rle_encode,
     compressed_key_cells,
     write_columnar_run,
 )
@@ -23,15 +21,24 @@ def sorted_keys(rng, n, arity=3, dom=5):
 
 
 class TestRle:
-    def test_encode_decode_roundtrip(self):
-        col = np.array([1, 1, 1, 2, 2, 3, 1])
-        v, l = _rle_encode(col)
-        assert v.tolist() == [1, 2, 3, 1] and l.tolist() == [3, 2, 1, 1]
-        assert _rle_decode(v, l).tolist() == col.tolist()
+    """Key columns are stored run-end encoded at their true length."""
 
-    def test_empty(self):
-        v, l = _rle_encode(np.zeros(0, np.int64))
-        assert len(v) == 0 and len(l) == 0
+    def test_encode_decode_roundtrip(self, tmp_path):
+        col = np.array([1, 1, 1, 2, 2, 3, 1])
+        keys = np.column_stack([[0, 0, 0, 0, 0, 0, 1], col])
+        run = write_columnar_run(str(tmp_path / "a.run"), keys,
+                                 OvcSpec(2, 100))
+        (v0, l0), (v, l) = run._read()[0]
+        assert v0.tolist() == [0, 1] and l0.tolist() == [6, 1]
+        assert v.tolist() == [1, 2, 3, 1] and l.tolist() == [3, 2, 1, 1]
+        assert run.read_columns()[0][:, 1].tolist() == col.tolist()
+
+    def test_empty(self, tmp_path):
+        run = write_columnar_run(str(tmp_path / "a.run"),
+                                 np.zeros((0, 3), np.int64), SPEC)
+        runs, _ = run._read()
+        assert all(len(v) == 0 and len(l) == 0 for v, l in runs)
+        assert compressed_key_cells(run) == 0
 
 
 class TestColumnarRun:
@@ -58,7 +65,7 @@ class TestColumnarRun:
         # have exactly one entry; codes still correct.
         keys = np.array([[7, 0, 0], [7, 0, 1], [7, 1, 1], [7, 1, 1]])
         run = write_columnar_run(str(tmp_path / "a.run"), keys, SPEC)
-        assert run._lengths["v0"] == 1
+        assert len(run._read()[0][0][0]) == 1
         _, codes, _ = run.scan_with_ovc()
         assert codes.tolist() == encode_sorted_array(keys, SPEC).tolist()
 
@@ -67,6 +74,16 @@ class TestColumnarRun:
         keys = sorted_keys(rng, 5000, dom=4)
         run = write_columnar_run(str(tmp_path / "a.run"), keys, SPEC)
         assert compressed_key_cells(run) < 5000 * 3 / 4
+
+    def test_files_hold_runs_not_rows(self, tmp_path):
+        # No column is padded to the row count: a constant million-row
+        # run takes a few hundred bytes.
+        import os
+
+        run = write_columnar_run(str(tmp_path / "a.run"),
+                                 np.ones((1_000_000, 3), np.int64), SPEC)
+        assert compressed_key_cells(run) == 6
+        assert os.path.getsize(run.path) < 4096
 
     def test_rejects_unsorted(self, tmp_path):
         keys = np.array([[2, 0, 0], [1, 0, 0]])
@@ -106,7 +123,7 @@ class TestColumnarRun:
         with pytest.raises(ValueError, match="reserved"):
             write_columnar_run(str(tmp_path / "a.run"),
                                np.zeros((1, 3), np.int64), SPEC,
-                               {"v0": np.array([1])})
+                               {"k0": np.array([1])})
 
 
 class TestLsmForest:

@@ -1,10 +1,10 @@
-"""Tests for tree-of-losers priority queues (plain and OVC)."""
+"""Tests for the tree-of-losers priority queue, with OVC and plain."""
 import numpy as np
 import pytest
 
-from repro.core.ovc import OvcSpec, encode_sorted_array
+from repro.core.ovc import OvcSpec, compare_full, encode_sorted_array
 from repro.core.stats import CompareStats
-from repro.core.tree_of_losers import OvcLoserTree, PlainLoserTree
+from repro.core.tree_of_losers import OvcLoserTree
 
 
 def coded_stream(keys, spec):
@@ -92,16 +92,20 @@ class TestOvcLoserTree:
 
 
 class TestPlainLoserTree:
+    """The same tree with ``compare=compare_full``: the baseline."""
+
     @pytest.mark.parametrize("n_streams", [1, 2, 5, 8, 13])
     def test_merge_matches_sorted(self, n_streams):
         rng = np.random.default_rng(100 + n_streams)
+        spec = OvcSpec(arity=3, base=10)
         streams = []
         for _ in range(n_streams):
             n = int(rng.integers(0, 40))
             keys = sorted(tuple(int(x) for x in rng.integers(0, 5, 3)) for _ in range(n))
-            streams.append([(k, None) for k in keys])
-        expect = sorted(k for s in streams for k, _ in s)
-        got = [k for k, _ in PlainLoserTree(streams)]
+            streams.append([(k, 0, None) for k in keys])
+        expect = sorted(k for s in streams for k, _, _ in s)
+        got = [k for k, _, _ in OvcLoserTree(streams, spec,
+                                             compare=compare_full)]
         assert got == expect
 
     def test_plain_counts_more_column_comparisons_than_ovc(self):
@@ -109,13 +113,43 @@ class TestPlainLoserTree:
         rng = np.random.default_rng(3)
         spec = OvcSpec(arity=6, base=10)
         streams = random_sorted_streams(rng, 8, spec, max_len=200, dom=2)
-        plain_streams = [[(k, None) for k, _, _ in s] for s in streams]
         s_ovc, s_plain = CompareStats(), CompareStats()
         out_o = [k for k, _, _ in OvcLoserTree(streams, spec, s_ovc)]
-        out_p = [k for k, _ in PlainLoserTree(plain_streams, s_plain)]
+        out_p = [k for k, _, _ in OvcLoserTree(streams, spec, s_plain,
+                                               compare=compare_full)]
         assert out_o == out_p
         assert s_ovc.col_cmps < s_plain.col_cmps
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_same_matches_as_ovc(self, seed):
+        # Only the comparison differs: same winners (payloads included,
+        # ties to the same side) and the same number of matches.
+        rng = np.random.default_rng(200 + seed)
+        spec = OvcSpec(arity=3, base=10)
+        streams = [
+            [(k, c, (i, j)) for j, (k, c, _) in enumerate(s)]
+            for i, s in enumerate(
+                random_sorted_streams(rng, int(rng.integers(1, 12)), spec,
+                                      dom=3))
+        ]
+        s_ovc, s_plain = CompareStats(), CompareStats()
+        out_o = [(k, p) for k, _, p in OvcLoserTree(streams, spec, s_ovc)]
+        out_p = [(k, p) for k, _, p in OvcLoserTree(streams, spec, s_plain,
+                                                    compare=compare_full)]
+        assert out_o == out_p
+        assert s_ovc.row_cmps == s_plain.row_cmps
+        assert s_plain.code_decided == 0
+
+    def test_fence_loses_and_tie_goes_to_a(self):
+        spec = OvcSpec(arity=2, base=10)
+        stats = CompareStats()
+        assert compare_full(spec, None, 5, (1, 1), 7, stats) == (False, 5)
+        assert compare_full(spec, (1, 1), 7, None, 5, stats) == (True, 5)
+        assert compare_full(spec, (1, 1), 7, (1, 1), 3, stats) == (True, 3)
+        assert compare_full(spec, (1, 2), 7, (1, 1), 3, stats) == (False, 7)
+        assert stats.row_cmps == 4 and stats.col_cmps == 4
+        assert stats.code_decided == 0
+
     def test_rejects_no_streams(self):
         with pytest.raises(ValueError):
-            PlainLoserTree([])
+            OvcLoserTree([], OvcSpec(2, 10), compare=compare_full)
