@@ -2,13 +2,13 @@
 
 These operators require their input to be a coded stream per partition
 with every group inside one partition: ``attach_ovc(df, keys,
-partition_on=keys[:G])``, or for ``instream_distinct`` also the output
-of ``merge_join_ovc`` (the intersect plan). Group boundaries are then
-detected with ONE integer comparison per row (``boundary_mask``) — the
-Figure 1 fast path — and the aggregation itself is a vectorized pandas
-groupby over the derived group ids. Output rows keep the code of their
-group's first input row re-based to the group arity, so downstream
-operators can keep consuming codes.
+partition_on=keys[:G])``, or on the full key a ``merge_join_ovc``
+output. Group boundaries are then detected with ONE integer comparison
+per row (``boundary_mask``) — the Figure 1 fast path — and the
+aggregation itself is a vectorized pandas groupby over the derived
+group ids. Output rows keep the code of their group's first input row
+re-based to the group arity, so downstream operators can keep
+consuming codes.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql.types import LongType, StructField, StructType
 
 from repro.core.ovc import DEFAULT_BASE, OvcSpec, boundary_mask, decode_offsets
-from repro.sparkops.ovc_column import OVC_COL
+from repro.sparkops.ovc_column import OVC_COL, whole_partition
 
 _AGGS = {"count", "sum", "min", "max"}
 
@@ -62,10 +62,7 @@ def instream_aggregate(
     out_schema = StructType(fields)
 
     def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        parts = list(batches)  # one partition's batches; groups are whole
-        if not parts:
-            return
-        pdf = pd.concat(parts, ignore_index=True)
+        pdf = whole_partition(batches)
         if not len(pdf):
             return
         codes = pdf[OVC_COL].to_numpy(dtype=np.int64)
@@ -109,10 +106,7 @@ def instream_distinct(
     out_schema = StructType(out_fields)
 
     def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        parts = list(batches)
-        if not parts:
-            return
-        pdf = pd.concat(parts, ignore_index=True)
+        pdf = whole_partition(batches)
         if not len(pdf):
             return
         codes = pdf[OVC_COL].to_numpy(dtype=np.int64)

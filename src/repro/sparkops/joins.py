@@ -16,9 +16,9 @@ columns again; output codes follow the filter rule generalized to
 joins (``filter_codes_vectorized``), and secondary outputs of a
 multi-match carry the duplicate code.
 
-``intersect_distinct_ovc`` is a semi join followed by in-stream
-duplicate removal over the join's output codes: one range shuffle, and
-each code is computed once and then consumed.
+``intersect_distinct_ovc`` folds Section 4.4 duplicate removal into
+the kernel: only a key group's first left row may match, so a semi join
+yields INTERSECT DISTINCT in one range shuffle and one Python pass.
 
 Non-key columns are carried as payloads; output column layout: key
 columns, left non-key columns, right non-key columns (inner/outer
@@ -36,43 +36,46 @@ from pyspark.sql.types import LongType, StructField, StructType
 from repro.core.operators.filterop import filter_codes_vectorized
 from repro.core.operators.merge_join import JoinType
 from repro.core.ovc import DEFAULT_BASE, OvcSpec, encode_sorted_array
-from repro.sparkops.aggregate import instream_distinct
-from repro.sparkops.ovc_column import OVC_COL, key_array
+from repro.sparkops.ovc_column import OVC_COL, key_array, whole_partition
 
 _TAG = "_side"
 _LEFT, _RIGHT = 0, 1
 
 
 def merge_kernel(
-    keys: np.ndarray, tags: np.ndarray, spec: OvcSpec, join_type: JoinType
+    keys: np.ndarray, tags: np.ndarray, spec: OvcSpec, join_type: JoinType,
+    distinct: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Merge join of one merged partition.
 
     ``keys`` is the (n, arity) key array of both sides' rows sorted by
     (key, tag); ``tags`` is 0 for left rows and 1 for right rows.
-    Returns ``(left_idx, right_idx, codes)``: per output row, the
-    position of its left row, of its right row (-1 for semi and anti
-    joins and for unmatched outer rows), and its ascending code
-    relative to the previous output row.
+    ``distinct`` keeps only the first left row of each key group, so a
+    semi join is INTERSECT DISTINCT. Returns ``(left_idx, right_idx,
+    codes)``: per output row, the position of its left row, of its
+    right row (-1 for semi and anti joins and for unmatched outer
+    rows), and its ascending code relative to the previous output row.
     """
-    starts = encode_sorted_array(keys, spec) != spec.duplicate_code
+    merged_codes = encode_sorted_array(keys, spec)
+    starts = merged_codes != spec.duplicate_code
     gstart = np.flatnonzero(starts)
     gid = np.cumsum(starts) - 1
-    lpos = np.flatnonzero(tags == _LEFT)
-    lgid = gid[lpos]
-    lcnt = np.bincount(lgid, minlength=len(gstart))
+    left = tags == _LEFT
+    lcnt = np.bincount(gid[left], minlength=len(gstart))
     rcnt = np.bincount(gid, minlength=len(gstart)) - lcnt
-    matched = rcnt[lgid] > 0
-    keep = {
+    matched = (rcnt > 0)[gid]
+    keep = left & {
         JoinType.INNER: matched,
         JoinType.LEFT_SEMI: matched,
         JoinType.LEFT_ANTI: ~matched,
-        JoinType.LEFT_OUTER: np.ones_like(matched),
+        JoinType.LEFT_OUTER: True,
     }[join_type]
-    first_codes = filter_codes_vectorized(
-        encode_sorted_array(keys[lpos], spec), keep, spec
-    )
-    kept, kgid = lpos[keep], lgid[keep]
+    if distinct:  # a group's left rows sort first: keep its first row
+        keep &= starts
+    # The filter rule turns the merged codes into the kept rows' codes.
+    first_codes = filter_codes_vectorized(merged_codes, keep, spec)
+    kept = np.flatnonzero(keep)
+    kgid = gid[kept]
     if join_type in (JoinType.LEFT_SEMI, JoinType.LEFT_ANTI):
         return kept, np.full(len(kept), -1, dtype=np.int64), first_codes
     # Each kept left row pairs with every right row of its group, which
@@ -106,9 +109,16 @@ def merge_join_ovc(
     Key values must be non-null and in ``[0, base)``; the executors
     raise ``ValueError`` otherwise.
     """
-    on = list(on)
-    jt = JoinType(how)
+    return _merge_join(left, right, list(on), JoinType(how), base,
+                       num_partitions, distinct=False)
+
+
+def _merge_join(left: DataFrame, right: DataFrame, on: list[str],
+                jt: JoinType, base: int, num_partitions: int | None,
+                distinct: bool) -> DataFrame:
     spec = OvcSpec(len(on), base)
+    if _TAG in left.columns or _TAG in right.columns:
+        raise ValueError(f"reserved column name: {_TAG!r}")
     lcols = [c for c in left.columns if c not in on and c != OVC_COL]
     rcols = [c for c in right.columns if c not in on and c != OVC_COL]
     overlap = set(lcols) & set(rcols)
@@ -127,30 +137,21 @@ def merge_join_ovc(
                    .sortWithinPartitions(*on, _TAG)
 
     out_fields = [StructField(c, LongType()) for c in on]
-    for c in lcols:
-        out_fields.append(left.schema[c])
-    if with_right:
-        for c in rcols:
-            # right side is nullable in outer joins
-            out_fields.append(
-                StructField(c, right.schema[c].dataType, True)
-            )
+    out_fields += [left.schema[c] for c in lcols]
+    if with_right:  # the right side is nullable in outer joins
+        out_fields += [StructField(c, right.schema[c].dataType, True)
+                       for c in rcols]
     out_fields.append(StructField(OVC_COL, LongType(), False))
     out_schema = StructType(out_fields)
 
     def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        parts_ = list(batches)
-        if not parts_:
-            return
-        pdf = pd.concat(parts_, ignore_index=True)
+        pdf = whole_partition(batches)
         if not len(pdf):
             return
         keys = key_array(pdf, on)
         lidx, ridx, codes = merge_kernel(
-            keys, pdf[_TAG].to_numpy(), spec, jt
+            keys, pdf[_TAG].to_numpy(), spec, jt, distinct
         )
-        if not len(lidx):
-            return
         data = {c: keys[lidx, j] for j, c in enumerate(on)}
         for c in lcols:
             data[c] = pdf[c].to_numpy()[lidx]
@@ -173,10 +174,9 @@ def intersect_distinct_ovc(
     num_partitions: int | None = None,
 ) -> DataFrame:
     """``SELECT on FROM left INTERSECT SELECT on FROM right``: a semi
-    merge join whose output, still holding the left side's duplicates
-    as rows with the duplicate code, feeds in-stream duplicate removal
-    in the same stage."""
+    merge join that lets only the first left row of each key group
+    match, so duplicates are removed in the join's own pass."""
     on = list(on)
-    semi = merge_join_ovc(left.select(on), right.select(on), on,
-                          "left_semi", base, num_partitions)
-    return instream_distinct(semi, on, base)
+    return _merge_join(left.select(on), right.select(on), on,
+                       JoinType.LEFT_SEMI, base, num_partitions,
+                       distinct=True)

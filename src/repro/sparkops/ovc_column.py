@@ -35,6 +35,13 @@ def key_array(pdf: pd.DataFrame, keys: Sequence[str]) -> np.ndarray:
     return cols.to_numpy(dtype=np.int64)
 
 
+def whole_partition(batches: Iterator[pd.DataFrame]) -> pd.DataFrame:
+    """One partition's Arrow batches as one frame (empty if none), for
+    kernels that need a whole partition: memory grows with its size."""
+    parts = list(batches)
+    return pd.concat(parts, ignore_index=True) if parts else pd.DataFrame()
+
+
 def attach_ovc(
     df: DataFrame,
     keys: Sequence[str],
@@ -89,12 +96,9 @@ def check_ovc(df: DataFrame, keys: Sequence[str],
     keys = list(keys)
 
     def verify(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        rows = []
-        for pdf in batches:
-            rows.append(pdf)
-        pdf = pd.concat(rows) if rows else None
+        pdf = whole_partition(batches)
         ok = True
-        if pdf is not None and len(pdf):
+        if len(pdf):
             arr = key_array(pdf, keys)
             ok = bool(
                 (encode_sorted_array(arr, spec) ==

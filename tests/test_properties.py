@@ -9,7 +9,8 @@ These are the load-bearing guarantees of the paper:
 - every Section 4 operator's output codes equal the brute-force
   re-encoding of its output stream;
 - the vectorized Spark merge-join kernel joins the same row pairs as
-  the row-wise merge join, with codes equal to a fresh encoding.
+  the row-wise merge join, and in its duplicate-removing semi join
+  returns INTERSECT DISTINCT, with codes equal to a fresh encoding.
 """
 from collections import Counter
 
@@ -195,6 +196,14 @@ def join_sides(draw):
         draw(st.lists(key, max_size=20))
 
 
+def merged_partition(arity, lk, rk):
+    """The merged partition as the Spark shuffle sorts it, by (key,
+    tag): its rows, key array and tags (0 left, 1 right)."""
+    rows = sorted([(*k, 0) for k in lk] + [(*k, 1) for k in rk])
+    merged = np.array(rows, dtype=np.int64).reshape(-1, arity + 1)
+    return rows, merged[:, :arity], merged[:, arity]
+
+
 @settings(max_examples=150)
 @given(join_sides(), st.sampled_from(list(JoinType)))
 @example((2, [], [(0, 1), (0, 1)]), JoinType.LEFT_OUTER)
@@ -202,10 +211,7 @@ def join_sides(draw):
 def test_merge_kernel_matches_rowwise_merge_join(sides, jt):
     arity, lk, rk = sides
     spec = OvcSpec(arity, 8)
-    # The merged partition as the Spark shuffle sorts it: by (key, tag).
-    rows = sorted([(*k, 0) for k in lk] + [(*k, 1) for k in rk])
-    merged = np.array(rows, dtype=np.int64).reshape(-1, arity + 1)
-    keys, tags = merged[:, :arity], merged[:, arity]
+    rows, keys, tags = merged_partition(arity, lk, rk)
 
     def side(tag):
         pos = np.flatnonzero(tags == tag).tolist()
@@ -220,4 +226,22 @@ def test_merge_kernel_matches_rowwise_merge_join(sides, jt):
     assert Counter(zip(left_idx.tolist(), right_idx.tolist())) == want
     out = keys[left_idx]
     assert out.tolist() == sorted(out.tolist())
+    assert codes.tolist() == encode_sorted_array(out, spec).tolist()
+
+
+@settings(max_examples=150)
+@given(join_sides())
+@example((1, [], [(0,), (0,)]))
+@example((2, [(0, 1), (0, 1), (1, 0)], []))
+@example((2, [(0, 1), (0, 1), (1, 0), (1, 0)], [(0, 1), (1, 0), (1, 0)]))
+def test_merge_kernel_distinct_semi_is_intersect_distinct(sides):
+    arity, lk, rk = sides
+    spec = OvcSpec(arity, 8)
+    _, keys, tags = merged_partition(arity, lk, rk)
+    left_idx, right_idx, codes = merge_kernel(
+        keys, tags, spec, JoinType.LEFT_SEMI, distinct=True
+    )
+    assert (tags[left_idx] == 0).all() and (right_idx == -1).all()
+    out = keys[left_idx]
+    assert out.tolist() == [list(k) for k in sorted(set(lk) & set(rk))]
     assert codes.tolist() == encode_sorted_array(out, spec).tolist()

@@ -186,6 +186,15 @@ class TestMergeJoin:
             merge_join_ovc(df, df, ["k"])
 
 
+    def test_rejects_reserved_column(self, spark):
+        # The shuffle's side tag used to overwrite a user column so
+        # named: an inner join returned _side = 0 on every row.
+        l = spark.createDataFrame(
+            pd.DataFrame({"k": [1, 2, 3], "_side": [7, 8, 9]}))
+        with pytest.raises(ValueError, match="reserved column name"):
+            merge_join_ovc(l, l.select("k"), ["k"])
+
+
 class TestMergeJoinTwoKeys(TestMergeJoin):
     on = ["k", "j"]
 
@@ -201,19 +210,12 @@ class TestIntersectDistinct:
                 .select(*self.on).cache()
         return side(20), side(21)
 
-    def test_matches_sql_intersect(self, spark, tt):
-        t1, t2 = tt
-        out = intersect_distinct_ovc(t1, t2, self.on, num_partitions=4)
+    def intersect_sql(self):
         cols = ", ".join(self.on)
-        assert_equivalent(
-            out.drop(OVC_COL),
-            f"select {cols} from t1 intersect select {cols} from t2",
-            t1=t1, t2=t2,
-        )
+        return f"select {cols} from t1 intersect select {cols} from t2"
 
-    def test_partition_streams_are_sorted_and_coded(self, spark, tt):
-        out = intersect_distinct_ovc(*tt, self.on, num_partitions=4) \
-            .withColumn("pid", F.spark_partition_id()).toPandas()
+    def assert_partitions_sorted_and_coded(self, df):
+        out = df.withColumn("pid", F.spark_partition_id()).toPandas()
         spec = OvcSpec(len(self.on))
         assert out["pid"].nunique() > 1
         for _, pdf in out.groupby("pid"):
@@ -222,13 +224,52 @@ class TestIntersectDistinct:
             assert (encode_sorted_array(arr, spec) ==
                     pdf[OVC_COL].to_numpy()).all()
 
+    @staticmethod
+    def final_plan(df):
+        df.collect()
+        plan = df._jdf.queryExecution().executedPlan().toString()
+        # Adaptive execution appends the initial plan after the final one.
+        return plan.split("== Initial Plan ==")[0]
+
+    def test_matches_sql_intersect(self, spark, tt):
+        t1, t2 = tt
+        out = intersect_distinct_ovc(t1, t2, self.on, num_partitions=4)
+        assert_equivalent(out.drop(OVC_COL), self.intersect_sql(),
+                          t1=t1, t2=t2)
+
+    def test_partition_streams_are_sorted_and_coded(self, spark, tt):
+        self.assert_partitions_sorted_and_coded(
+            intersect_distinct_ovc(*tt, self.on, num_partitions=4))
+
     def test_runs_one_range_shuffle(self, spark, tt):
         out = intersect_distinct_ovc(*tt, self.on, num_partitions=4)
-        out.collect()
-        plan = out._jdf.queryExecution().executedPlan().toString()
-        # Adaptive execution appends the initial plan after the final one.
-        final = plan.split("== Initial Plan ==")[0]
-        assert final.count("Exchange rangepartitioning") == 1
+        assert self.final_plan(out).count("Exchange rangepartitioning") == 1
+
+    def test_runs_one_python_hop(self, spark, tt):
+        # Duplicate removal runs inside the join kernel, not as a
+        # second mapInPandas over the join's output.
+        out = intersect_distinct_ovc(*tt, self.on, num_partitions=4)
+        assert self.final_plan(out).count("MapInPandas") == 1
+
+    def test_key_groups_split_across_arrow_batches(self, spark, tt):
+        t1, t2 = tt
+        match = " and ".join(f"t1.{c} = t2.{c}" for c in self.on)
+        semi_sql = f"select {', '.join(self.on)} from t1 " \
+                   f"where exists (select 1 from t2 where {match})"
+        conf = "spark.sql.execution.arrow.maxRecordsPerBatch"
+        old = spark.conf.get(conf)
+        spark.conf.set(conf, "7")
+        try:
+            for out, sql in [
+                (intersect_distinct_ovc(t1, t2, self.on, num_partitions=4),
+                 self.intersect_sql()),
+                (merge_join_ovc(t1, t2, self.on, "left_semi",
+                                num_partitions=4), semi_sql),
+            ]:
+                assert_equivalent(out.drop(OVC_COL), sql, t1=t1, t2=t2)
+                self.assert_partitions_sorted_and_coded(out)
+        finally:
+            spark.conf.set(conf, old)
 
 
 class TestIntersectDistinctTwoKeys(TestIntersectDistinct):
