@@ -1,9 +1,11 @@
 """Supplementary: ordered columnar scans originate OVCs for free
 (Section 4.10): deriving codes from RLE run boundaries vs re-encoding
-from decoded values vs re-sorting from scratch."""
+from decoded values vs re-sorting from scratch; and the LSM ingest sort
+on normalized keys vs a K-pass ``np.lexsort``."""
 import numpy as np
 import pytest
 
+from repro.core.keys import sort_order
 from repro.core.ovc import OvcSpec, encode_sorted_array
 from repro.storage.columnar import write_columnar_run
 
@@ -45,8 +47,20 @@ def test_scan_then_resort(benchmark, run_file):
 
     def fn():
         k, _ = run.read_columns()
-        order = np.lexsort(k.T[::-1])
-        return encode_sorted_array(k[order], spec)
+        return encode_sorted_array(k[sort_order(k)], spec)
 
     codes = benchmark(fn)
     assert len(codes) == N
+
+
+def lexsort_columns(keys):
+    return np.lexsort(keys.T[::-1])
+
+
+@pytest.mark.parametrize("sort", [sort_order, lexsort_columns])
+def test_ingest_sort(benchmark, rng, sort):
+    # Unsorted ingest batch: one uint16 word for sort_order, K passes
+    # for the lexsort it replaced; both give the same permutation.
+    keys = rng.integers(0, 10, size=(N, ARITY))
+    order = benchmark(sort, keys)
+    assert np.array_equal(order, np.lexsort(keys.T[::-1]))

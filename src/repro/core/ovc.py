@@ -89,6 +89,13 @@ class OvcSpec:
             return offset * self.base + (self.base - value)
         return (self.arity - offset) * self.base + value
 
+    def check_domain(self, keys: np.ndarray) -> None:
+        """Raise ``ValueError`` on a key value outside ``[0, base)``."""
+        lo, hi = (int(keys.min()), int(keys.max())) if keys.size else (0, 0)
+        if lo < 0 or hi >= self.base:
+            raise ValueError(f"key value {lo if lo < 0 else hi} outside "
+                             f"the code domain [0, {self.base})")
+
     def offset_of(self, code: int) -> int:
         """Recover the offset (first-difference column index) from a code."""
         if self.descending:
@@ -252,12 +259,7 @@ def encode_sorted_array(
     if spec.arity * spec.base + (spec.base - 1) > np.iinfo(np.int64).max:
         raise ValueError("arity * base does not fit in int64")
     keys = np.asarray(keys, dtype=np.int64)
-    lo, hi = int(keys.min()), int(keys.max())
-    if lo < 0 or hi >= spec.base:
-        raise ValueError(
-            f"key value {lo if lo < 0 else hi} outside the code domain "
-            f"[0, {spec.base})"
-        )
+    spec.check_domain(keys)
     diff = np.empty((n, k), dtype=bool)
     if prev_key is None:
         diff[0, :] = True  # virtual -inf predecessor: differs at offset 0

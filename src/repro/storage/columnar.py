@@ -112,7 +112,8 @@ def write_columnar_run(
     """Write sorted keys (+ payload columns) as an RLE columnar run.
 
     Keys must be lexicographically sorted ascending (checked with a
-    vectorized first-difference test unless ``assume_sorted``).
+    vectorized first-difference test unless ``assume_sorted``) and lie
+    in ``[0, spec.base)`` (always checked: the scan's codes hold them).
     """
     keys = np.asarray(keys, dtype=np.int64)
     if keys.ndim != 2:
@@ -120,6 +121,7 @@ def write_columnar_run(
     n, k = keys.shape
     if k != spec.arity:
         raise ValueError(f"key width {k} != arity {spec.arity}")
+    spec.check_domain(keys)
     if not assume_sorted and n > 1:
         diff = keys[1:] != keys[:-1]
         first = np.where(diff.any(1), diff.argmax(1), 0)

@@ -1,11 +1,11 @@
 """Log-structured merge-forest over columnar runs (Section 4.10, Napa).
 
-Ingest sorts a batch in memory (numpy lexsort — the vectorized stand-in
-for run generation) and writes one RLE columnar run. Compaction merges
-all runs through a tree-of-losers priority queue that consumes the
-runs' scan-produced OVCs and emits OVCs for the merge output — the
-query-processing path the paper describes for LSM forests. A merged
-scan does the same without materializing.
+Ingest sorts a batch in memory on normalized keys (``keys.sort_order``,
+the vectorized stand-in for run generation) and writes one RLE columnar
+run. Compaction merges all runs through a tree-of-losers priority queue
+that consumes the runs' scan-produced OVCs and emits OVCs for the merge
+output — the query-processing path the paper describes for LSM forests.
+A merged scan does the same without materializing.
 """
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ from typing import Iterator
 
 import numpy as np
 
+from repro.core.keys import sort_order
 from repro.core.ovc import OvcSpec
 from repro.core.stats import CompareStats
 from repro.core.tree_of_losers import OvcLoserTree
@@ -39,7 +40,7 @@ class LsmForest:
                payload: np.ndarray | None = None) -> ColumnarRun:
         """Sort a batch and persist it as one new run."""
         keys = np.asarray(keys, dtype=np.int64)
-        order = np.lexsort(keys.T[::-1])
+        order = sort_order(keys)
         payloads = {"p0": np.asarray(payload, dtype=np.int64)[order]} \
             if payload is not None else {}
         run = write_columnar_run(

@@ -85,6 +85,13 @@ class TestColumnarRun:
         assert compressed_key_cells(run) == 6
         assert os.path.getsize(run.path) < 4096
 
+    @pytest.mark.parametrize("bad", [-1, 100])
+    def test_rejects_out_of_domain_keys(self, tmp_path, bad):
+        keys = np.array([[0, 0, 0], [0, 0, bad]])
+        with pytest.raises(ValueError, match="outside the code domain"):
+            write_columnar_run(str(tmp_path / "a.run"), keys, SPEC,
+                               assume_sorted=True)
+
     def test_rejects_unsorted(self, tmp_path):
         keys = np.array([[2, 0, 0], [1, 0, 0]])
         with pytest.raises(ValueError, match="not sorted"):
@@ -182,3 +189,19 @@ class TestLsmForest:
         forest.ingest(np.array([[2, 0, 0], [1, 0, 0]]), np.array([20, 10]))
         out = list(forest.scan())
         assert [(k[0], p) for k, _, p in out] == [(1, 10), (2, 20)]
+        # Ingest sorts stably: equal keys keep their input order.
+        rng = np.random.default_rng(6)
+        keys = np.array([[3, 1, 4], [1, 5, 9]])[rng.integers(0, 2, 2000)]
+        got, pays = forest.ingest(keys, np.arange(2000)).read_columns()
+        for key in ([3, 1, 4], [1, 5, 9]):
+            p = pays["p0"][(got == key).all(1)]
+            assert len(p) == (keys == key).all(1).sum()
+            assert (np.diff(p) > 0).all()
+
+    @pytest.mark.parametrize("bad", [-3, 5])
+    def test_ingest_rejects_out_of_domain_keys(self, tmp_path, bad):
+        # Such a key would scan with a code of the wrong offset.
+        forest = LsmForest(str(tmp_path / "f"), OvcSpec(2, base=4))
+        with pytest.raises(ValueError, match="outside the code domain"):
+            forest.ingest(np.array([[0, 0], [0, bad], [1, 0]]))
+        assert forest.runs == []
