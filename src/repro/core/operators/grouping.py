@@ -25,12 +25,6 @@ from repro.core.ovc import OvcSpec
 from repro.core.stats import CompareStats
 
 
-def _boundary_code_threshold(spec: OvcSpec, group_cols: int) -> int:
-    """Ascending codes >= this threshold mark a group boundary
-    (offset < group_cols)."""
-    return (spec.arity - group_cols + 1) * spec.base
-
-
 def group_stream(
     stream: Iterable,
     spec: OvcSpec,
@@ -49,7 +43,7 @@ def group_stream(
         raise ValueError("group_cols must be in 1..arity")
     if spec.descending:
         raise NotImplementedError("grouping implements ascending codes")
-    thresh = _boundary_code_threshold(spec, group_cols)
+    thresh = spec.boundary_code(group_cols)
     spec_out = OvcSpec(group_cols, spec.base)
     cur_key = cur_code = acc = None
     for key, code, payload in stream:

@@ -35,7 +35,7 @@ def segmented_sort(
     """
     if spec_in.descending:
         raise NotImplementedError("segmented sort implements ascending codes")
-    thresh = (spec_in.arity - seg_cols + 1) * spec_in.base
+    thresh = spec_in.boundary_code(seg_cols)
     spec_out = OvcSpec(seg_cols + resort_arity, spec_in.base)
     spec_c = OvcSpec(resort_arity, spec_in.base)
 
@@ -82,7 +82,7 @@ def segment_boundaries(
 ) -> Iterator[tuple]:
     """Yield ``(is_boundary, key, code, payload)`` — the bare
     segmentation primitive (one integer test per row)."""
-    thresh = (spec.arity - seg_cols + 1) * spec.base
+    thresh = spec.boundary_code(seg_cols)
     first = True
     for key, code, payload in stream:
         yield (first or code >= thresh), key, code, payload

@@ -25,6 +25,10 @@ The fundamental results of Section 4 are implemented here:
   relative to the winner.
 - ``compare_full`` — the baseline with the same signature: ignore codes
   and compare keys column by column from column 0.
+- ``merge_coded_runs`` — vectorized merge of coded runs (Section 4.9).
+
+The vectorized helpers are the one place outside ``OvcSpec`` that packs
+and unpacks ascending codes.
 
 Fences: ``late_fence_code`` sorts after every valid code and stands in
 for exhausted merge inputs; like F1 Query (Section 5) the fence is
@@ -38,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.keys import Key, compare_keys, shared_prefix
+from repro.core.keys import compare_keys, shared_prefix, sort_order
 from repro.core.stats import CompareStats
 
 #: Default column domain: 32-bit unsigned values, so a code fits in an
@@ -88,6 +92,11 @@ class OvcSpec:
                 raise ValueError("descending codes require column values >= 1")
             return offset * self.base + (self.base - value)
         return (self.arity - offset) * self.base + value
+
+    def boundary_code(self, prefix: int) -> int:
+        """Smallest ascending code with offset < ``prefix``: codes at or
+        above it start a new group of the first ``prefix`` columns."""
+        return (self.arity - prefix + 1) * self.base
 
     def check_domain(self, keys: np.ndarray) -> None:
         """Raise ``ValueError`` on a key value outside ``[0, base)``."""
@@ -249,31 +258,68 @@ def encode_sorted_array(
     Raises ``ValueError`` if any key value lies outside ``[0, base)``:
     such a value would corrupt the offset packed above it in the code.
     """
-    if spec.descending:
-        raise NotImplementedError("vectorized path implements ascending codes")
-    n, k = keys.shape
+    _, k = keys.shape
     if k != spec.arity:
         raise ValueError(f"key width {k} != spec arity {spec.arity}")
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
     if spec.arity * spec.base + (spec.base - 1) > np.iinfo(np.int64).max:
         raise ValueError("arity * base does not fit in int64")
     keys = np.asarray(keys, dtype=np.int64)
     spec.check_domain(keys)
-    diff = np.empty((n, k), dtype=bool)
-    if prev_key is None:
-        diff[0, :] = True  # virtual -inf predecessor: differs at offset 0
-    else:
-        diff[0, :] = keys[0] != np.asarray(prev_key, dtype=np.int64)
-    diff[1:, :] = keys[1:] != keys[:-1]
-    any_diff = diff.any(axis=1)
-    offsets = np.where(any_diff, diff.argmax(axis=1), k)
-    values = np.where(
-        any_diff, keys[np.arange(n), np.minimum(offsets, k - 1)], 0
-    )
-    return np.where(
-        any_diff, (k - offsets) * spec.base + values, 0
-    ).astype(np.int64)
+    diff = np.empty(keys.shape, dtype=bool)
+    # A virtual -inf predecessor differs from the first row at offset 0.
+    diff[:1] = True if prev_key is None else keys[:1] != np.asarray(prev_key)
+    diff[1:] = keys[1:] != keys[:-1]
+    return _first_diff_codes(diff, keys, spec)[1]
+
+
+def merge_coded_runs(
+    keys: Sequence[np.ndarray], codes: Sequence[np.ndarray], spec: OvcSpec,
+    stats: CompareStats | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Merge sorted runs (``keys[r]``, ``codes[r]`` relative to the run
+    predecessor, the first primed) into ``(order, codes)``: ``order``
+    indexes the runs' concatenation, equal keys in run order, and codes
+    are relative to the output predecessor. A row after its own run
+    predecessor keeps its code (``code_decided``). At a run switch, run
+    predecessor y' <= output predecessor x <= row y gives ovc(x, y) <=
+    ovc(y', y), so ``col_cmps`` counts columns from that offset on only.
+    """
+    run = np.repeat(np.arange(len(keys)), [len(c) for c in codes])
+    keys = np.concatenate(keys).reshape(-1, spec.arity)
+    order = sort_order(keys)
+    out = np.concatenate(codes).astype(np.int64)[order]
+    switch = np.flatnonzero(np.diff(run[order])) + 1
+    start = decode_offsets(out[switch], spec)
+    y, x = keys[order[switch]], keys[order[switch - 1]]
+    diff = (y != x) & (np.arange(spec.arity) >= start[:, None])
+    offsets, out[switch] = _first_diff_codes(diff, y, spec)
+    if stats is not None:
+        stats.row_cmps += max(len(out) - 1, 0)
+        stats.code_decided += max(len(out) - 1 - len(switch), 0)
+        stats.col_cmps += int((np.minimum(offsets + 1, spec.arity)
+                               - start).sum())
+    return order, out
+
+
+def _first_diff_codes(diff: np.ndarray, keys: np.ndarray, spec: OvcSpec
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """(offsets, codes) of ``keys`` rows whose columns that differ from
+    their base row are marked in ``diff``."""
+    k = spec.arity
+    offsets = np.where(diff.any(axis=1), diff.argmax(axis=1), k)
+    return offsets, pack_codes(
+        offsets, keys[np.arange(len(keys)), np.minimum(offsets, k - 1)], spec)
+
+
+def pack_codes(offsets: np.ndarray, values: np.ndarray,
+               spec: OvcSpec) -> np.ndarray:
+    """Vectorized ascending codes from offsets and values at the offset;
+    an offset equal to the arity packs to the duplicate code 0."""
+    if spec.descending:
+        raise NotImplementedError("vectorized path implements ascending codes")
+    offsets = np.asarray(offsets, dtype=np.int64)
+    return np.where(offsets < spec.arity, (spec.arity - offsets) * spec.base
+                    + values, 0).astype(np.int64)
 
 
 def decode_offsets(codes: np.ndarray, spec: OvcSpec) -> np.ndarray:
@@ -282,10 +328,16 @@ def decode_offsets(codes: np.ndarray, spec: OvcSpec) -> np.ndarray:
     return np.where(codes > 0, spec.arity - codes // spec.base, spec.arity)
 
 
+def rebase_codes(codes: np.ndarray, spec: OvcSpec, arity: int) -> np.ndarray:
+    """Re-pack codes of offset < ``arity`` for the key's first ``arity``
+    columns (a group's code after in-stream aggregation)."""
+    return pack_codes(decode_offsets(codes, spec),
+                      np.asarray(codes) % spec.base, OvcSpec(arity, spec.base))
+
+
 def boundary_mask(codes: np.ndarray, spec: OvcSpec, prefix: int) -> np.ndarray:
     """Vectorized Section 4.5 test: row starts a new group of the first
     ``prefix`` key columns iff its offset < prefix, i.e. its ascending
-    code is at least ``(arity - prefix + 1) * base`` — one integer
+    code is at least ``spec.boundary_code(prefix)`` — one integer
     compare per row."""
-    codes = np.asarray(codes, dtype=np.int64)
-    return codes >= (spec.arity - prefix + 1) * spec.base
+    return np.asarray(codes, dtype=np.int64) >= spec.boundary_code(prefix)

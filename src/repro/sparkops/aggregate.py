@@ -19,19 +19,10 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql.types import LongType, StructField, StructType
 
-from repro.core.ovc import DEFAULT_BASE, OvcSpec, boundary_mask, decode_offsets
+from repro.core.ovc import DEFAULT_BASE, OvcSpec, boundary_mask, rebase_codes
 from repro.sparkops.ovc_column import OVC_COL, whole_partition
 
 _AGGS = {"count", "sum", "min", "max"}
-
-
-def _rebase_codes(codes: np.ndarray, spec_in: OvcSpec,
-                  group_cols: int) -> np.ndarray:
-    """Re-encode boundary-row codes from arity K to arity G (offsets of
-    boundary rows are < G by construction)."""
-    offs = decode_offsets(codes, spec_in)
-    vals = codes % spec_in.base
-    return ((group_cols - offs) * spec_in.base + vals).astype(np.int64)
 
 
 def instream_aggregate(
@@ -81,7 +72,7 @@ def instream_aggregate(
                 ufunc = {"sum": np.add, "min": np.minimum,
                          "max": np.maximum}[how]
                 out[out_col] = ufunc.reduceat(col, starts)
-        out[OVC_COL] = _rebase_codes(codes[bounds], spec, group_cols)
+        out[OVC_COL] = rebase_codes(codes[bounds], spec, group_cols)
         yield out
 
     return df.mapInPandas(run, out_schema)

@@ -12,7 +12,9 @@ double as OVC metadata:
 
 So a scan reproduces, row by row, the offset-value codes that the sort
 which created the run had computed — "practically for free", with zero
-column value comparisons. ``scan_with_ovc`` returns exactly those codes.
+column value comparisons. ``scan_with_ovc`` returns those codes as
+arrays, which ``core.ovc.merge_coded_runs`` consumes when an LSM forest
+merges its runs. ``ColumnarRun`` is the one reader of run metadata.
 
 File layout: one Arrow IPC file holding a single record batch. Key
 column ``k{i}`` is an Arrow ``run_end_encoded`` array, so only its run
@@ -23,14 +25,13 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Iterator
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 import pyarrow.ipc as ipc
 
-from repro.core.ovc import OvcSpec
+from repro.core.keys import sort_order
+from repro.core.ovc import OvcSpec, pack_codes
 
 
 class ColumnarRun:
@@ -72,7 +73,7 @@ class ColumnarRun:
         """Return (keys, codes, payloads). Codes are derived from RLE
         run starts only — no value comparisons (see module docstring)."""
         runs, payloads = self._read()
-        n, k, base = self.n_rows, self.arity, self.base
+        n, k = self.n_rows, self.arity
         offsets = np.full(n, k, dtype=np.int64)
         values = np.zeros(n, dtype=np.int64)
         # Walk columns from last to first so the smallest column index
@@ -83,19 +84,7 @@ class ColumnarRun:
             offsets[starts] = c
             values[starts] = v
         keys = np.column_stack([np.repeat(v, l) for v, l in runs])
-        codes = np.where(offsets < k, (k - offsets) * base + values, 0)
-        return keys, codes.astype(np.int64), payloads
-
-    def iter_rows(self) -> Iterator[tuple]:
-        """Row-at-a-time coded stream ``(key, code, payload0)`` —
-        adapter for the tree-of-losers merge."""
-        keys, codes, payloads = self.scan_with_ovc()
-        pay = (payloads[self.payload_names[0]]
-               if self.payload_names else np.full(len(keys), -1))
-        for i in range(len(keys)):
-            p = int(pay[i])
-            yield tuple(int(x) for x in keys[i]), int(codes[i]), \
-                None if p == -1 else p
+        return keys, pack_codes(offsets, values, self.spec), payloads
 
     def delete(self) -> None:
         if os.path.exists(self.path):
@@ -111,10 +100,11 @@ def write_columnar_run(
 ) -> ColumnarRun:
     """Write sorted keys (+ payload columns) as an RLE columnar run.
 
-    Keys must be lexicographically sorted ascending (checked with a
-    vectorized first-difference test unless ``assume_sorted``) and lie
+    Keys must be lexicographically sorted ascending (checked with one
+    stable ``sort_order`` unless ``assume_sorted``) and lie
     in ``[0, spec.base)`` (always checked: the scan's codes hold them).
     """
+    import pyarrow.compute as pc  # not loaded by readers (Spark workers)
     keys = np.asarray(keys, dtype=np.int64)
     if keys.ndim != 2:
         raise ValueError("keys must be a 2-D (n, arity) array")
@@ -122,14 +112,8 @@ def write_columnar_run(
     if k != spec.arity:
         raise ValueError(f"key width {k} != arity {spec.arity}")
     spec.check_domain(keys)
-    if not assume_sorted and n > 1:
-        diff = keys[1:] != keys[:-1]
-        first = np.where(diff.any(1), diff.argmax(1), 0)
-        rows = np.flatnonzero(diff.any(1))
-        if rows.size and not (
-            keys[rows, first[rows]] < keys[rows + 1, first[rows]]
-        ).all():
-            raise ValueError("keys are not sorted")
+    if not assume_sorted and (sort_order(keys) != np.arange(n)).any():
+        raise ValueError("keys are not sorted")
     payloads = payloads or {}
     names = [f"k{i}" for i in range(k)]
     cols = [pc.run_end_encode(pa.array(keys[:, i]), run_end_type=pa.int64())
@@ -153,9 +137,3 @@ def write_columnar_run(
         with ipc.new_file(sink, batch.schema) as writer:
             writer.write_batch(batch)
     return ColumnarRun(path)
-
-
-def compressed_key_cells(run: ColumnarRun) -> int:
-    """Total stored RLE cells across key columns (values + run ends) —
-    the compression metric reported in the storage benchmarks."""
-    return sum(2 * len(v) for v, _ in run._read()[0])

@@ -21,19 +21,17 @@ consume the codes downstream.
 """
 from __future__ import annotations
 
-import json
 import os
 
 from pyspark.sql.datasource import DataSource, DataSourceReader, InputPartition
 from pyspark.sql.types import LongType, StructField, StructType
 
+from repro.storage.columnar import ColumnarRun
 
-def _forest_meta(path: str) -> tuple[list[str], int, list[str]]:
-    """(run paths, arity, payload names) for an LSM directory or a
-    single run file."""
-    import pyarrow as pa
-    import pyarrow.ipc as ipc
 
+def _forest_runs(path: str) -> tuple[list[str], ColumnarRun]:
+    """The run paths of an LSM directory or a single run file, and the
+    first run, whose arity and payload names every run shares."""
     if os.path.isdir(path):
         runs = sorted(
             os.path.join(path, n) for n in os.listdir(path)
@@ -43,11 +41,7 @@ def _forest_meta(path: str) -> tuple[list[str], int, list[str]]:
         runs = [path]
     if not runs:
         raise ValueError(f"no .run files under {path}")
-    with pa.OSFile(runs[0], "rb") as f:
-        meta = json.loads(
-            ipc.open_file(f).schema.metadata[b"repro"].decode()
-        )
-    return runs, meta["arity"], meta["payloads"]
+    return runs, ColumnarRun(runs[0])
 
 
 class OvcDataSource(DataSource):
@@ -61,9 +55,9 @@ class OvcDataSource(DataSource):
         path = self.options.get("path")
         if not path:
             raise ValueError("ovc data source requires option 'path'")
-        _, arity, payload_names = _forest_meta(path)
-        fields = [StructField(f"k{i}", LongType()) for i in range(arity)]
-        fields += [StructField(n, LongType()) for n in payload_names]
+        run = _forest_runs(path)[1]
+        fields = [StructField(f"k{i}", LongType()) for i in range(run.arity)]
+        fields += [StructField(n, LongType()) for n in run.payload_names]
         fields.append(StructField("_ovc", LongType()))
         return StructType(fields)
 
@@ -76,8 +70,7 @@ class OvcReader(DataSourceReader):
     batch; rows carry their scan OVC."""
 
     def __init__(self, path: str) -> None:
-        self.path = path
-        self.runs, self.arity, self.payload_names = _forest_meta(path)
+        self.runs = _forest_runs(path)[0]
 
     def partitions(self) -> list[InputPartition]:
         return [InputPartition(p) for p in self.runs]
@@ -87,13 +80,9 @@ class OvcReader(DataSourceReader):
         # key comparisons, no per-row Python.
         import pyarrow as pa
 
-        from repro.storage.columnar import ColumnarRun
-
         run = ColumnarRun(partition.value)
         keys, codes, payloads = run.scan_with_ovc()
-        names = [f"k{i}" for i in range(self.arity)]
-        cols = [keys[:, i] for i in range(self.arity)]
-        names += self.payload_names + ["_ovc"]
-        cols += [payloads[n] for n in self.payload_names] + [codes]
-        yield pa.RecordBatch.from_arrays([pa.array(c) for c in cols],
-                                         names=names)
+        names = [f"k{i}" for i in range(run.arity)]
+        yield pa.RecordBatch.from_arrays(
+            [pa.array(c) for c in [*keys.T, *payloads.values(), codes]],
+            names=names + run.payload_names + ["_ovc"])

@@ -9,6 +9,7 @@ from repro.core.ovc import (
     compare_update,
     decode_offsets,
     encode_sorted_array,
+    merge_coded_runs,
 )
 from repro.core.stats import CompareStats
 
@@ -239,3 +240,40 @@ class TestSharedPrefix:
         assert shared_prefix((1, 2, 3), (1, 2, 4)) == 2
         assert shared_prefix((1, 2, 3), (1, 2, 3)) == 3
         assert shared_prefix((0,), (1,)) == 0
+
+
+class TestMergeCodedRuns:
+    """``merge_coded_runs``: the vectorized merge of coded runs."""
+
+    def test_counts_columns_from_run_code_offset(self):
+        # Run A = (0,0,0), (0,0,5); run B = (0,0,3). B's row is primed,
+        # so it compares 3 columns; A's second row (offset 2 in A)
+        # compares only column 2. The rows that follow their own run
+        # predecessor: none here, so nothing is code-decided.
+        spec = OvcSpec(3, 10)
+        a, b = np.array([[0, 0, 0], [0, 0, 5]]), np.array([[0, 0, 3]])
+        stats = CompareStats()
+        order, codes = merge_coded_runs(
+            [a, b], [encode_sorted_array(x, spec) for x in (a, b)], spec,
+            stats)
+        assert order.tolist() == [0, 2, 1]
+        assert codes.tolist() == [30, 13, 15]
+        assert (stats.row_cmps, stats.code_decided,
+                stats.col_cmps) == (2, 0, 4)
+
+    def test_same_run_rows_keep_their_codes(self):
+        spec = OvcSpec(2, 10)
+        a, b = np.array([[0, 1], [0, 2], [0, 2]]), np.array([[5, 5]])
+        stats = CompareStats()
+        order, codes = merge_coded_runs(
+            [a, b], [encode_sorted_array(x, spec) for x in (a, b)], spec,
+            stats)
+        assert order.tolist() == [0, 1, 2, 3]
+        assert codes.tolist() == [20, 12, 0, 25]
+        assert (stats.row_cmps, stats.code_decided,
+                stats.col_cmps) == (3, 2, 1)
+
+    def test_rejects_descending(self):
+        spec = OvcSpec(1, 10, descending=True)
+        with pytest.raises(NotImplementedError):
+            merge_coded_runs([np.array([[1]])], [np.array([9])], spec)

@@ -12,7 +12,10 @@ These are the load-bearing guarantees of the paper:
   the row-wise merge join, and in its duplicate-removing semi join
   returns INTERSECT DISTINCT, with codes equal to a fresh encoding;
 - the normalized-key sort of an LSM ingest batch is ``np.lexsort``'s
-  stable permutation for any signed int64 keys.
+  stable permutation for any signed int64 keys;
+- the vectorized merge of coded runs gives the row-wise tree's keys and
+  codes, keeps equal keys in run order, and stays within N x K column
+  comparisons.
 """
 from collections import Counter
 
@@ -32,6 +35,7 @@ from repro.core.ovc import (
     compare_full,
     compare_update,
     encode_sorted_array,
+    merge_coded_runs,
 )
 from repro.core.stats import CompareStats
 from repro.core.tree_of_losers import OvcLoserTree
@@ -287,3 +291,41 @@ def test_sort_order_is_lexsort(keys):
     # letting a column cross into an over-full word (the two-word
     # examples), packing the last column highest, or an unstable sort.
     assert np.array_equal(sort_order(keys), np.lexsort(keys.T[::-1]))
+
+
+@st.composite
+def coded_runs(draw):
+    """Key arity and 1-8 sorted runs (some empty) over a tiny domain, so
+    keys repeat within and across runs."""
+    arity = draw(st.integers(1, 4))
+    key = st.tuples(*[st.integers(0, draw(st.integers(1, 3)))] * arity)
+    return arity, [sorted(draw(st.lists(key, max_size=12)))
+                   for _ in range(draw(st.integers(1, 8)))]
+
+
+@settings(max_examples=300)
+@given(coded_runs())
+@example((3, [[(0, 0, 0), (0, 0, 2)], [(0, 0, 1)]]))
+@example((2, [[(0, 1), (1, 0)], [(1, 0), (1, 0)], [], [(0, 1)]]))
+@example((1, [[], []]))
+def test_merge_coded_runs_matches_tree(runs):
+    # Mutations that fail here: keeping every row's run code, telling a
+    # run switch by "order[i-1] + 1 != order[i]" (adjacent rows of
+    # consecutive runs), comparing from the column after the run code's
+    # offset, and an unstable sort.
+    arity, runs = runs
+    spec = OvcSpec(arity, 4)
+    arrays_ = [np.array(r, dtype=np.int64).reshape(-1, arity) for r in runs]
+    codes = [encode_sorted_array(a, spec) for a in arrays_]
+    stats = CompareStats()
+    order, out = merge_coded_runs(arrays_, codes, spec, stats)
+    keys = np.concatenate(arrays_)[order]
+    tree = list(OvcLoserTree([list(zip(r, c.tolist(), [None] * len(r)))
+                              for r, c in zip(runs, codes)], spec))
+    assert list(map(tuple, keys.tolist())) == [k for k, _, _ in tree]
+    assert out.tolist() == [c for _, c, _ in tree]
+    assert out.tolist() == encode_sorted_array(keys, spec).tolist()
+    # Equal keys in run order: the concatenation index rises within them.
+    same = (keys[1:] == keys[:-1]).all(axis=1)
+    assert (np.diff(order)[same] > 0).all()
+    assert stats.col_cmps <= len(keys) * arity

@@ -4,11 +4,7 @@ import pytest
 
 from repro.core.ovc import OvcSpec, encode_sorted_array
 from repro.core.stats import CompareStats
-from repro.storage.columnar import (
-    ColumnarRun,
-    compressed_key_cells,
-    write_columnar_run,
-)
+from repro.storage.columnar import ColumnarRun, write_columnar_run
 from repro.storage.lsm import LsmForest
 from tests.helpers import bruteforce_codes
 
@@ -18,6 +14,11 @@ SPEC = OvcSpec(arity=3, base=100)
 def sorted_keys(rng, n, arity=3, dom=5):
     keys = rng.integers(0, dom, size=(n, arity))
     return keys[np.lexsort(keys.T[::-1])].astype(np.int64)
+
+
+def compressed_key_cells(run: ColumnarRun) -> int:
+    """Stored RLE cells across key columns (values + run ends)."""
+    return sum(2 * len(v) for v, _ in run._read()[0])
 
 
 class TestRle:
@@ -101,8 +102,7 @@ class TestColumnarRun:
         run = write_columnar_run(str(tmp_path / "a.run"),
                                  np.zeros((0, 3), np.int64), SPEC)
         keys, codes, _ = run.scan_with_ovc()
-        assert len(keys) == 0 and len(codes) == 0
-        assert list(run.iter_rows()) == []
+        assert keys.shape == (0, 3) and len(codes) == 0
 
     def test_duplicate_rows_get_code_zero(self, tmp_path):
         keys = np.array([[1, 1, 1], [1, 1, 1], [1, 1, 1]])
@@ -118,13 +118,13 @@ class TestColumnarRun:
         k2, _ = run.read_columns()
         assert (k2 == keys).all()
 
-    def test_iter_rows_payload(self, tmp_path):
+    def test_scan_payload(self, tmp_path):
         keys = np.array([[1, 0, 0], [2, 0, 0]])
         run = write_columnar_run(str(tmp_path / "a.run"), keys, SPEC,
                                  {"p0": np.array([10, 20])})
-        rows = list(run.iter_rows())
-        assert [p for _, _, p in rows] == [10, 20]
-        assert [k for k, _, _ in rows] == [(1, 0, 0), (2, 0, 0)]
+        got, _, pays = run.scan_with_ovc()
+        assert pays["p0"].tolist() == [10, 20]
+        assert got.tolist() == [[1, 0, 0], [2, 0, 0]]
 
     def test_rejects_reserved_payload_name(self, tmp_path):
         with pytest.raises(ValueError, match="reserved"):
@@ -142,21 +142,22 @@ class TestLsmForest:
             batch = rng.integers(0, 5, size=(100, 3))
             forest.ingest(batch)
             all_keys += [tuple(r) for r in batch]
-        out = list(forest.scan())
-        keys = [k for k, _, _ in out]
-        assert keys == sorted(all_keys)
-        assert [c for _, c, _ in out] == bruteforce_codes(keys, SPEC)
+        keys, codes, pays = forest.scan()
+        assert list(map(tuple, keys.tolist())) == sorted(all_keys)
+        assert codes.tolist() == bruteforce_codes(keys.tolist(), SPEC)
+        assert pays == {}
 
     def test_compaction_preserves_content_and_codes(self, tmp_path):
         rng = np.random.default_rng(4)
         forest = LsmForest(str(tmp_path / "f"), SPEC)
         for _ in range(3):
             forest.ingest(rng.integers(0, 4, size=(80, 3)))
-        before = [(k, c) for k, c, _ in forest.scan()]
+        keys, codes, _ = forest.scan()
         forest.compact()
         assert len(forest.runs) == 1
-        after = [(k, c) for k, c, _ in forest.scan()]
-        assert after == before
+        after_keys, after_codes, _ = forest.scan()
+        assert np.array_equal(after_keys, keys)
+        assert np.array_equal(after_codes, codes)
 
     def test_merge_consumes_codes_cheaply(self, tmp_path):
         # merged scan's column comparisons bounded by N x K
@@ -167,7 +168,7 @@ class TestLsmForest:
             forest.ingest(rng.integers(0, 3, size=(150, 3)))
             n += 150
         stats = CompareStats()
-        list(forest.scan(stats))
+        forest.scan(stats)
         assert stats.col_cmps <= n * SPEC.arity
 
     def test_reopen_existing_forest(self, tmp_path):
@@ -175,9 +176,44 @@ class TestLsmForest:
         forest.ingest(np.array([[1, 2, 3]]))
         forest2 = LsmForest(str(tmp_path / "f"), SPEC)
         assert len(forest2.runs) == 1
-        assert [k for k, _, _ in forest2.scan()] == [(1, 2, 3)]
+        assert forest2.scan()[0].tolist() == [[1, 2, 3]]
         forest2.ingest(np.array([[0, 0, 0]]))
         assert len(forest2.runs) == 2
+
+    @pytest.mark.parametrize("spec", [OvcSpec(3, 100), OvcSpec(2, 2**32),
+                                      OvcSpec(2, 1000)],
+                             ids=["arity", "base-2^32", "base-1000"])
+    def test_reopen_with_other_spec_raises(self, tmp_path, spec):
+        # Codes of one spec read under another are wrong codes.
+        forest = LsmForest(str(tmp_path / "f"), OvcSpec(2, 100))
+        run = forest.ingest(np.array([[1, 2], [3, 99]]))
+        with pytest.raises(ValueError, match=run.path):
+            LsmForest(forest.root, spec)
+
+    def test_reopen_with_mixed_payload_runs_raises(self, tmp_path):
+        # Runs written without the forest (or before ingest refused a
+        # change of payload columns): a merged scan could not line them up.
+        root = tmp_path / "f"
+        write_columnar_run(str(root / "000000.run"), np.array([[1, 2, 3]]),
+                           SPEC, {"p0": np.array([7])})
+        write_columnar_run(str(root / "000001.run"), np.array([[0, 0, 0]]),
+                           SPEC)
+        with pytest.raises(ValueError, match="000001.run"):
+            LsmForest(str(root), SPEC)
+
+    @pytest.mark.parametrize("first", [True, False],
+                             ids=["with-then-without", "without-then-with"])
+    def test_ingest_rejects_other_payload_columns(self, tmp_path, first):
+        forest = LsmForest(str(tmp_path / "f"), SPEC)
+        keys, pay = np.array([[1, 2, 3]]), np.array([7])
+        forest.ingest(keys, pay if first else None)
+        with pytest.raises(ValueError, match="payload columns"):
+            forest.ingest(keys, None if first else pay)
+        assert len(forest.runs) == 1
+
+    def test_scan_empty_forest(self, tmp_path):
+        keys, codes, pays = LsmForest(str(tmp_path / "f"), SPEC).scan()
+        assert keys.shape == (0, 3) and len(codes) == 0 and pays == {}
 
     def test_compact_empty_raises(self, tmp_path):
         forest = LsmForest(str(tmp_path / "f"), SPEC)
@@ -187,8 +223,9 @@ class TestLsmForest:
     def test_scan_with_payloads(self, tmp_path):
         forest = LsmForest(str(tmp_path / "f"), SPEC)
         forest.ingest(np.array([[2, 0, 0], [1, 0, 0]]), np.array([20, 10]))
-        out = list(forest.scan())
-        assert [(k[0], p) for k, _, p in out] == [(1, 10), (2, 20)]
+        keys, _, pays = forest.scan()
+        assert keys[:, 0].tolist() == [1, 2]
+        assert pays["p0"].tolist() == [10, 20]
         # Ingest sorts stably: equal keys keep their input order.
         rng = np.random.default_rng(6)
         keys = np.array([[3, 1, 4], [1, 5, 9]])[rng.integers(0, 2, 2000)]
@@ -196,6 +233,13 @@ class TestLsmForest:
         for key in ([3, 1, 4], [1, 5, 9]):
             p = pays["p0"][(got == key).all(1)]
             assert len(p) == (keys == key).all(1).sum()
+            assert (np.diff(p) > 0).all()
+        # The merged scan keeps equal keys in run order, then run position.
+        forest.ingest(keys, np.arange(2000, 4000))
+        got, _, pays = forest.scan()
+        for key in ([3, 1, 4], [1, 5, 9]):
+            p = pays["p0"][(got == key).all(1)]
+            assert len(p) == 2 * (keys == key).all(1).sum()
             assert (np.diff(p) > 0).all()
 
     @pytest.mark.parametrize("bad", [-3, 5])
