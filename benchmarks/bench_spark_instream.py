@@ -5,7 +5,7 @@ partition + sort + per-partition ``_ovc`` scan encode, then in-stream
 aggregation whose boundary detection is either the OVC integer test
 (``instream_aggregate``) or a full multi-column compare in the same
 mapInPandas harness. Also the native Spark hash aggregation for
-context.
+context, and the fixed cost of one Python task (``test_python_hop``).
 """
 import numpy as np
 import pandas as pd
@@ -14,7 +14,7 @@ from pyspark.sql.types import LongType, StructField, StructType
 
 from repro.core.ovc import OvcSpec
 from repro.sparkops.aggregate import instream_aggregate
-from repro.sparkops.ovc_column import OVC_COL, attach_ovc
+from repro.sparkops.ovc_column import OVC_COL, attach_ovc, map_in_pandas
 from repro.synth_data import webkeys
 
 N = 600_000
@@ -125,3 +125,36 @@ def test_executor_kernel_full_compare(benchmark, partition_pdf):
 
     out = benchmark(kernel)
     assert out["cnt"].sum() == N
+
+
+# -- the per-Python-task floor ------------------------------------------
+# An identity mapInPandas over 8 partitions of a cached 10-row frame
+# moves and computes next to nothing, so a round costs what one wave of
+# Python tasks costs. ``prologue`` goes through ``map_in_pandas``, which
+# evicts the worker's zip importers first; ``plain`` calls mapInPandas.
+# The eviction lasts for the life of a reused worker, so ``plain`` shows
+# the floor only in workers no sparkops operator has run in: run these
+# alone, ``pytest benchmarks/bench_spark_instream.py -k python_hop``,
+# where ``plain`` goes first.
+
+@pytest.fixture(scope="module")
+def tiny_df(spark):
+    df = spark.range(10).repartition(8).cache()
+    df.count()
+    return df
+
+
+@pytest.mark.parametrize("prologue", [False, True], ids=["plain", "prologue"])
+def test_python_hop(benchmark, tiny_df, prologue):
+    def same(batches):
+        yield from batches
+
+    def run():
+        if prologue:
+            out = map_in_pandas(tiny_df, same, tiny_df.schema)
+        else:
+            out = tiny_df.mapInPandas(same, tiny_df.schema)
+        return sorted(r.id for r in out.collect())
+
+    rows = benchmark.pedantic(run, rounds=10, iterations=1, warmup_rounds=1)
+    assert rows == list(range(10))

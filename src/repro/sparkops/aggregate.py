@@ -20,7 +20,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql.types import LongType, StructField, StructType
 
 from repro.core.ovc import DEFAULT_BASE, OvcSpec, boundary_mask, rebase_codes
-from repro.sparkops.ovc_column import OVC_COL, whole_partition
+from repro.sparkops.ovc_column import OVC_COL, map_in_pandas, whole_partition
 
 _AGGS = {"count", "sum", "min", "max"}
 
@@ -75,7 +75,7 @@ def instream_aggregate(
         out[OVC_COL] = rebase_codes(codes[bounds], spec, group_cols)
         yield out
 
-    return df.mapInPandas(run, out_schema)
+    return map_in_pandas(df, run, out_schema)
 
 
 def instream_distinct(
@@ -112,4 +112,4 @@ def instream_distinct(
             out[OVC_COL] = ovc
         yield out
 
-    return df.mapInPandas(run, out_schema)
+    return map_in_pandas(df, run, out_schema)

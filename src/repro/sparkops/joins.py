@@ -36,7 +36,8 @@ from pyspark.sql.types import LongType, StructField, StructType
 from repro.core.operators.filterop import filter_codes_vectorized
 from repro.core.operators.merge_join import JoinType
 from repro.core.ovc import DEFAULT_BASE, OvcSpec, encode_sorted_array
-from repro.sparkops.ovc_column import OVC_COL, key_array, whole_partition
+from repro.sparkops.ovc_column import (OVC_COL, key_array, map_in_pandas,
+                                       whole_partition)
 
 _TAG = "_side"
 _LEFT, _RIGHT = 0, 1
@@ -163,7 +164,7 @@ def _merge_join(left: DataFrame, right: DataFrame, on: list[str],
         data[OVC_COL] = codes
         yield pd.DataFrame(data)
 
-    return tagged.mapInPandas(run, out_schema)
+    return map_in_pandas(tagged, run, out_schema)
 
 
 def intersect_distinct_ovc(

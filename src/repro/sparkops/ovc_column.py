@@ -11,7 +11,7 @@ coded streams compose into one globally ordered stream.
 """
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 import pandas as pd
@@ -19,6 +19,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql.types import BooleanType, LongType, StructField, StructType
 
 from repro.core.ovc import DEFAULT_BASE, OvcSpec, encode_sorted_array
+from repro.executor import evict_zip_importers
 
 OVC_COL = "_ovc"
 
@@ -40,6 +41,16 @@ def whole_partition(batches: Iterator[pd.DataFrame]) -> pd.DataFrame:
     kernels that need a whole partition: memory grows with its size."""
     parts = list(batches)
     return pd.concat(parts, ignore_index=True) if parts else pd.DataFrame()
+
+
+def map_in_pandas(df: DataFrame, kernel: Callable, schema: StructType
+                  ) -> DataFrame:
+    """``df.mapInPandas(kernel, schema)`` with ``evict_zip_importers``
+    run first in every task: how each sparkops kernel enters a worker."""
+    def task(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        evict_zip_importers()
+        return kernel(batches)
+    return df.mapInPandas(task, schema)
 
 
 def attach_ovc(
@@ -85,7 +96,7 @@ def attach_ovc(
             out[OVC_COL] = codes
             yield out
 
-    return sdf.mapInPandas(encode, out_schema)
+    return map_in_pandas(sdf, encode, out_schema)
 
 
 def check_ovc(df: DataFrame, keys: Sequence[str],
@@ -106,7 +117,7 @@ def check_ovc(df: DataFrame, keys: Sequence[str],
             )
         yield pd.DataFrame({"ok": [ok]})
 
-    res = df.mapInPandas(
-        verify, StructType([StructField("ok", BooleanType())])
+    res = map_in_pandas(
+        df, verify, StructType([StructField("ok", BooleanType())])
     )
     return all(r["ok"] for r in res.collect())

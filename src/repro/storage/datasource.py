@@ -26,6 +26,7 @@ import os
 from pyspark.sql.datasource import DataSource, DataSourceReader, InputPartition
 from pyspark.sql.types import LongType, StructField, StructType
 
+from repro.executor import evict_zip_importers
 from repro.storage.columnar import ColumnarRun
 
 
@@ -78,6 +79,7 @@ class OvcReader(DataSourceReader):
     def read(self, partition: InputPartition):
         # Runs on executors: decode one run into one Arrow batch; zero
         # key comparisons, no per-row Python.
+        evict_zip_importers()
         import pyarrow as pa
 
         run = ColumnarRun(partition.value)

@@ -43,6 +43,9 @@ class LsmForest:
             raise ValueError(f"batch payload columns {names} differ from "
                              f"the forest's {self.runs[0].payload_names}")
         keys = np.asarray(keys, dtype=np.int64)
+        if payload is not None and len(payload) != len(keys):
+            raise ValueError(f"payload has {len(payload)} rows, "
+                             f"the key batch {len(keys)}")
         order = sort_order(keys)
         payloads = {n: np.asarray(payload)[order] for n in names}
         run = write_columnar_run(

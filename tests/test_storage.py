@@ -211,6 +211,15 @@ class TestLsmForest:
             forest.ingest(keys, None if first else pay)
         assert len(forest.runs) == 1
 
+    @pytest.mark.parametrize("payload", [[10, 20, 30], [10]],
+                             ids=["longer", "shorter"])
+    def test_ingest_rejects_payload_of_other_length(self, tmp_path, payload):
+        # A longer payload used to lose its tail to the sort permutation.
+        forest = LsmForest(str(tmp_path / "f"), OvcSpec(2, base=4))
+        with pytest.raises(ValueError, match=f"{len(payload)} rows.* 2"):
+            forest.ingest([[1, 2], [0, 3]], payload)
+        assert forest.runs == []
+
     def test_scan_empty_forest(self, tmp_path):
         keys, codes, pays = LsmForest(str(tmp_path / "f"), SPEC).scan()
         assert keys.shape == (0, 3) and len(codes) == 0 and pays == {}
