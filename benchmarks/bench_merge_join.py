@@ -2,11 +2,13 @@
 in-memory hash join of the same inputs (claim 2 in the small: with the
 interesting ordering already present, the merge join's comparisons are
 mostly single-integer OVC compares while the hash join re-hashes every
-row)."""
+row), and the order-preserving lookup join (Section 4.8) of the left
+input into an index of the right one."""
 import numpy as np
 import pytest
 
 from repro.core.operators.merge_join import JoinType, merge_join
+from repro.core.operators.nested_loops import lookup_join
 from repro.core.ovc import OvcSpec, encode_sorted_array
 from repro.core.stats import CompareStats
 from repro.hashexec.hash_join import hash_join
@@ -57,3 +59,19 @@ def test_join_presorted_inputs(benchmark, tmp_path, sides, variant):
     benchmark.extra_info.update(n_out=n, col_cmps=stats.col_cmps,
                                 col_accesses=stats.col_accesses,
                                 hash_ops=stats.hash_ops)
+
+
+@pytest.mark.parametrize("join_type", ["inner", "left_semi"])
+def test_lookup_join_presorted_outer(benchmark, sides, join_type):
+    left, right = sides
+    spec = OvcSpec(ARITY)
+    # One coded inner row (arity 1) per right key.
+    index = {k: [((p,), OvcSpec(1).prime((p,)), p)] for k, _, p in right}
+
+    def run():
+        return sum(1 for _ in lookup_join(
+            iter(left), lambda k, p: index.get(k, ()), spec, 1, join_type))
+
+    n = benchmark.pedantic(run, rounds=1, iterations=1)
+    assert n == len(index.keys() & {k for k, _, _ in left})
+    benchmark.extra_info.update(n_out=n)

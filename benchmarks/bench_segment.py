@@ -1,14 +1,17 @@
-"""Supplementary: segmented sorting (Section 4.3) vs full re-sort.
+"""Supplementary: segmented sorting (Section 4.3) vs full re-sort, and
+in-stream duplicate removal (Section 4.4) over the same coded stream.
 
 A stream sorted on (A, B) must be delivered sorted on (A, C).
 Segmenting on distinct A (boundaries = one OVC offset test per row) and
 sorting each small segment on C beats re-sorting the whole stream on
 (A, C); both variants run on the same tree-of-losers substrate.
+Duplicate removal cuts the same stream on the full key (A, B).
 """
 import numpy as np
 import pytest
 
 from repro.core.external_sort import sort_in_memory
+from repro.core.operators.dedup import dedup_stream
 from repro.core.operators.segment import segmented_sort
 from repro.core.ovc import OvcSpec, encode_sorted_array
 from repro.core.stats import CompareStats
@@ -55,3 +58,12 @@ def test_resort_a_b_to_a_c(benchmark, stream, variant):
     assert n == N
     benchmark.extra_info.update(col_cmps=stats.col_cmps,
                                 row_cmps=stats.row_cmps)
+
+
+def test_dedup_stream(benchmark, stream):
+    rows, spec_in = stream
+    n = benchmark.pedantic(
+        lambda: sum(1 for _ in dedup_stream(iter(rows), spec_in)),
+        rounds=1, iterations=1)
+    assert n == len({k for k, _, _ in rows})
+    benchmark.extra_info.update(n_out=n)

@@ -24,9 +24,10 @@ the output codes are not maintained (so it cannot deduplicate).
 from __future__ import annotations
 
 import os
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
-from repro.core.ovc import OvcSpec, compare_update
+from repro.core.ovc import OvcSpec, coded_groups, compare_update
 from repro.core.runs import RunFile, write_run
 from repro.core.stats import CompareStats
 from repro.core.tree_of_losers import OvcLoserTree
@@ -62,17 +63,10 @@ def _dedup_stream(stream: Iterable, spec: OvcSpec,
     (Section 4.4). With ``counts_in`` the incoming payloads are already
     counts (rows read back from deduplicated runs) and are summed;
     otherwise each input row counts 1 and its payload is discarded."""
-    cur = None
-    for key, code, payload in stream:
-        n = payload if counts_in else 1
-        if cur is not None and spec.is_duplicate(code):
-            cur = (cur[0], cur[1], cur[2] + n)
-            continue
-        if cur is not None:
-            yield cur
-        cur = (key, code, n)
-    if cur is not None:
-        yield cur
+    for group in coded_groups(stream, spec, spec.arity):
+        key, code, _ = group[0]
+        yield key, code, sum(map(itemgetter(2), group)) if counts_in \
+            else len(group)
 
 
 def generate_runs(

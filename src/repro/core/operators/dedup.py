@@ -1,8 +1,9 @@
 """Section 4.4: in-stream duplicate removal.
 
 In a sorted OVC-coded stream a duplicate is exactly a row whose offset
-equals the arity (duplicate code); suppressing those rows and keeping
-the survivors' codes unchanged is the whole operator. Since a dropped
+equals the arity (duplicate code), so the groups ``coded_groups`` cuts
+on the full key are the duplicate groups; emitting each group's first
+row with its code unchanged is the whole operator. Since a dropped
 duplicate's code is the combine-neutral element, the filter rule of
 Section 4.1 degenerates to "keep the code as is".
 """
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from repro.core.ovc import OvcSpec
+from repro.core.ovc import OvcSpec, coded_groups
 from repro.core.stats import CompareStats
 
 
@@ -22,20 +23,9 @@ def dedup_stream(
 ) -> Iterator[tuple]:
     """Drop rows with the duplicate code. With ``count_payloads`` the
     surviving row's payload is the size of its duplicate group."""
-    cur = None
-    for key, code, payload in stream:
+    for group in coded_groups(stream, spec, spec.arity):
+        key, code, payload = group[0]
         if stats is not None:
-            stats.rows_in += 1
-        if spec.is_duplicate(code) and cur is not None:
-            if count_payloads:
-                cur = (cur[0], cur[1], cur[2] + 1)
-            continue
-        if cur is not None:
-            if stats is not None:
-                stats.rows_out += 1
-            yield cur
-        cur = (key, code, 1 if count_payloads else payload)
-    if cur is not None:
-        if stats is not None:
+            stats.rows_in += len(group)
             stats.rows_out += 1
-        yield cur
+        yield key, code, len(group) if count_payloads else payload

@@ -2,10 +2,11 @@
 
 In a stream sorted on the full key with OVCs, a row starts a new group
 of the leading ``group_cols`` columns iff its offset is smaller than
-``group_cols`` — one integer comparison per row (this is the Figure 1
-experiment). The output row of a group keeps the code of the group's
-first input row, re-based to arity ``group_cols``; in the output no row
-has an offset >= ``group_cols``.
+``group_cols`` — one integer comparison per row (``coded_groups``; this
+is the Figure 1 experiment). The output row of a group keeps the code
+of the group's first input row, re-packed for arity ``group_cols``
+(``OvcSpec.recode``); in the output no row has an offset >=
+``group_cols``.
 
 ``group_stream_full_compare`` is the baseline Figure 1 compares
 against: boundary detection by comparing all ``group_cols`` columns of
@@ -21,7 +22,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Iterator
 
 from repro.core.keys import compare_keys
-from repro.core.ovc import OvcSpec
+from repro.core.ovc import OvcSpec, coded_groups
 from repro.core.stats import CompareStats
 
 
@@ -39,32 +40,16 @@ def group_stream(
     first row; ``agg(acc, key, payload)`` folds subsequent rows. Yields
     ``(group_key, code, accumulator)`` with arity-``group_cols`` codes.
     """
-    if not 1 <= group_cols <= spec.arity:
-        raise ValueError("group_cols must be in 1..arity")
-    if spec.descending:
-        raise NotImplementedError("grouping implements ascending codes")
-    thresh = spec.boundary_code(group_cols)
-    spec_out = OvcSpec(group_cols, spec.base)
-    cur_key = cur_code = acc = None
-    for key, code, payload in stream:
-        if stats is not None:
-            stats.rows_in += 1
-        if cur_key is not None and code < thresh:
-            acc = agg(acc, key, payload)
-            continue
-        if cur_key is not None:
-            if stats is not None:
-                stats.rows_out += 1
-            yield cur_key, cur_code, acc
-        cur_key = key[:group_cols]
-        off = spec.offset_of(code)
-        cur_code = spec_out.code(off, spec.value_of(code)) if off < group_cols \
-            else spec_out.duplicate_code
+    for group in coded_groups(stream, spec, group_cols):
+        rows = iter(group)
+        key, code, payload = next(rows)
         acc = init(key, payload)
-    if cur_key is not None:
+        for k, _, p in rows:
+            acc = agg(acc, k, p)
         if stats is not None:
+            stats.rows_in += len(group)
             stats.rows_out += 1
-        yield cur_key, cur_code, acc
+        yield key[:group_cols], spec.recode(code, group_cols), acc
 
 
 def group_stream_full_compare(

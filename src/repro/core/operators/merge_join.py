@@ -7,12 +7,15 @@ tree-of-losers merge of the two inputs, which (a) needs no column
 comparisons beyond those of a merge step in an external sort, and
 (b) directly exposes key-equality through the duplicate code: in the
 merged tagged stream, rows of one equal-key group are exactly a row
-followed by rows with the duplicate code.
+followed by rows with the duplicate code (``coded_groups`` on the full
+key).
 
 Output OVC rules (all integer arithmetic):
-- left rows that produce output keep their code, max-combined with the
-  codes of all merged rows consumed since the previous output (the
-  filter rule generalized to semi joins — "the minimum offset among an
+- each key group is one item of ``filter_stream`` whose code is the
+  group's first merged code and which passes iff the group has output,
+  so a group's first output row carries its code max-combined with the
+  codes of the groups without output since the previous output (the
+  filter rule generalized to joins — "the minimum offset among an
   output row and the recent rows that failed the predicate");
 - secondary outputs of a multi-match (duplicate join keys) carry the
   duplicate code.
@@ -22,7 +25,8 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterable, Iterator
 
-from repro.core.ovc import OvcSpec
+from repro.core.operators.filterop import filter_stream
+from repro.core.ovc import OvcSpec, coded_groups
 from repro.core.stats import CompareStats
 from repro.core.tree_of_losers import OvcLoserTree
 
@@ -42,29 +46,18 @@ def _tagged(stream: Iterable, tag: int) -> Iterator[tuple]:
         yield key, code, (tag, payload)
 
 
-def _equal_key_groups(
-    left: Iterable, right: Iterable, spec: OvcSpec,
-    stats: CompareStats | None,
-) -> Iterator[tuple]:
-    """Merge the two inputs and yield one tuple per distinct key:
-    ``(key, group_code, left_payloads, right_payloads)`` where
-    ``group_code`` is the first merged row's code of the group."""
-    merged = OvcLoserTree(
-        [_tagged(left, _L), _tagged(right, _R)], spec, stats
-    )
-    key = code = None
-    lp: list = []
-    rp: list = []
-    for k, c, (tag, payload) in merged:
-        if key is not None and spec.is_duplicate(c):
-            (lp if tag == _L else rp).append(payload)
-            continue
-        if key is not None:
-            yield key, code, lp, rp
-        key, code, lp, rp = k, c, [], []
-        (lp if tag == _L else rp).append(payload)
-    if key is not None:
-        yield key, code, lp, rp
+def _join_rows(lp: list, rp: list, join_type: JoinType) -> list:
+    """The output payloads of one key group with left payloads ``lp``
+    and right payloads ``rp``."""
+    matched = bool(lp) and bool(rp)
+    if join_type is JoinType.LEFT_SEMI:
+        return lp if matched else []
+    if join_type is JoinType.LEFT_ANTI:
+        return [] if matched else lp
+    if matched:
+        return [(pl, pr) for pr in rp for pl in lp]
+    return [(pl, None) for pl in lp] if join_type is JoinType.LEFT_OUTER \
+        else []
 
 
 def merge_join(
@@ -81,37 +74,24 @@ def merge_join(
     for semi/anti joins it is the left payload. Output codes follow the
     Section 4.7 rules; codes are relative to predecessors in the output.
     """
-    pending: int | None = None
+    merged = OvcLoserTree(
+        [_tagged(left, _L), _tagged(right, _R)], spec, stats
+    )
 
-    def out_code(first_code: int) -> int:
-        nonlocal pending
-        c = first_code if pending is None else spec.combine(first_code, pending)
-        pending = None
-        return c
+    def key_groups() -> Iterator[tuple]:
+        # One (key, group code, output payloads) item per distinct key;
+        # the group code is its first merged row's.
+        for group in coded_groups(merged, spec, spec.arity):
+            lp, rp = [], []
+            for _, _, (tag, p) in group:
+                (rp if tag else lp).append(p)
+            yield group[0][0], group[0][1], _join_rows(lp, rp, join_type)
 
-    def fold(code: int) -> None:
-        nonlocal pending
-        pending = code if pending is None else spec.combine(code, pending)
-
-    for key, code, lp, rp in _equal_key_groups(left, right, spec, stats):
-        matched = bool(lp) and bool(rp)
-        if join_type is JoinType.LEFT_SEMI:
-            emit = list(lp) if matched else []
-        elif join_type is JoinType.LEFT_ANTI:
-            emit = list(lp) if not matched else []
-        elif join_type is JoinType.INNER:
-            emit = [(pl, pr) for pr in rp for pl in lp] if matched else []
-        else:  # LEFT_OUTER
-            if matched:
-                emit = [(pl, pr) for pr in rp for pl in lp]
-            else:
-                emit = [(pl, None) for pl in lp]
-        if not emit:
-            fold(code)
-            continue
+    for key, code, emit in filter_stream(
+            key_groups(), lambda _, rows: rows, spec):
         if stats is not None:
             stats.rows_out += len(emit)
-        yield key, out_code(code), emit[0]
+        yield key, code, emit[0]
         for payload in emit[1:]:
             yield key, spec.duplicate_code, payload
 

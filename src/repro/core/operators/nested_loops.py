@@ -13,15 +13,18 @@ Within a group of duplicate outer keys the roles of the loops are
 reversed (each inner row joins all buffered outer rows before the next
 inner row) so that output order and maximal offsets are preserved.
 
-Semi and anti joins output the outer key only (arity KO) and follow the
-merge-join/filter rule: codes of suppressed groups are max-combined
-into the next emitted row.
+Each group of equal outer keys (``coded_groups``) is one item of
+``filter_stream`` with the group's code re-packed for the output arity
+(``OvcSpec.recode``), passing iff the group has output rows: codes of
+suppressed groups are max-combined into the next emitted row, as in the
+merge join. Semi and anti joins output the outer key only (arity KO).
 """
 from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator
 
-from repro.core.ovc import OvcSpec
+from repro.core.operators.filterop import filter_stream
+from repro.core.ovc import OvcSpec, coded_groups
 from repro.core.stats import CompareStats
 
 _JOIN_TYPES = ("inner", "left_outer", "left_semi", "left_anti")
@@ -42,85 +45,44 @@ def lookup_join(
     inner_payload))`` (inner side zero-padded / None for outer
     non-matches); semi/anti yield ``(outer_key, code, outer_payload)``.
     """
-    if spec_outer.descending:
-        raise NotImplementedError("lookup join implements ascending codes")
     if join_type not in _JOIN_TYPES:
         raise ValueError(f"unknown join_type {join_type!r}")
-    spec_out = OvcSpec(spec_outer.arity + inner_arity, spec_outer.base)
     semi_like = join_type in ("left_semi", "left_anti")
-    out_spec = spec_outer if semi_like else spec_out
-    pending: int | None = None
+    width = spec_outer.arity + (0 if semi_like else inner_arity)
+    out_spec = OvcSpec(width, spec_outer.base)
+    dup = out_spec.duplicate_code
 
-    def widen(outer_code: int) -> int:
-        """Outer-arity code re-based to the output arity. Duplicate
-        outer codes never reach here (duplicates are buffered)."""
-        if semi_like:
-            return outer_code
-        off = spec_outer.offset_of(outer_code)
-        return spec_out.code(off, spec_outer.value_of(outer_code))
-
-    def fold(outer_code: int) -> None:
-        nonlocal pending
-        c = widen(outer_code)
-        pending = c if pending is None else out_spec.combine(c, pending)
-
-    def first_code_combined(outer_code: int) -> int:
-        nonlocal pending
-        c = widen(outer_code)
-        if pending is not None:
-            c = out_spec.combine(c, pending)
-            pending = None
-        return c
-
-    def emit_group(group: list) -> Iterator[tuple]:
-        okey, g_code = group[0][0], group[0][1]
-        if stats is not None:
-            stats.rows_in += len(group)
-        inners = list(lookup(okey, group[0][2]))
-        matched = bool(inners)
-        if semi_like:
-            keep = matched if join_type == "left_semi" else not matched
-            if not keep:
-                fold(g_code)
-                return
-            yield okey, first_code_combined(g_code), group[0][2]
-            for _, _, p in group[1:]:
-                yield okey, out_spec.duplicate_code, p
-            return
-        if not matched:
-            if join_type == "inner":
-                fold(g_code)
-                return
+    def rows(group: list, inners: list) -> list:
+        """The output rows of one outer key group; the first row's code
+        is a placeholder for the group code."""
+        if semi_like:  # rows after a group's first carry the dup code
+            keep = bool(inners) == (join_type == "left_semi")
+            return group if keep else []
+        okey = group[0][0]
+        if not inners:
             pad = (0,) * inner_arity
-            yield okey + pad, first_code_combined(g_code), (group[0][2], None)
-            for _, _, p in group[1:]:
-                yield okey + pad, out_spec.duplicate_code, (p, None)
-            return
-        # inner / left_outer with matches: inner loop outermost within a
-        # duplicate-outer group ("roles reversed", Section 4.8).
-        first_out = True
-        for ikey, icode, ipayload in inners:
-            for gi, (_, _, opayload) in enumerate(group):
-                if first_out:
-                    code = first_code_combined(g_code)
-                    first_out = False
-                elif gi == 0:
-                    # inner code's offset shifts by KO; numerically the
-                    # code is unchanged under the output arity.
-                    code = icode
-                else:
-                    code = out_spec.duplicate_code
-                if stats is not None:
-                    stats.rows_out += 1
-                yield okey + tuple(ikey), code, (opayload, ipayload)
+            return [] if join_type == "inner" else \
+                [(okey + pad, dup, (p, None)) for _, _, p in group]
+        if stats is not None:
+            stats.rows_out += len(inners) * len(group)
+        # Inner loop outermost within a duplicate-outer group ("roles
+        # reversed", Section 4.8). An inner code's offset shifts by KO,
+        # so numerically it is unchanged under the output arity.
+        return [(okey + tuple(ikey), icode if gi == 0 else dup,
+                 (opayload, ipayload))
+                for ikey, icode, ipayload in inners
+                for gi, (_, _, opayload) in enumerate(group)]
 
-    group: list = []
-    for okey, ocode, opayload in outer:
-        if group and spec_outer.is_duplicate(ocode):
-            group.append((okey, ocode, opayload))
-            continue
-        if group:
-            yield from emit_group(group)
-        group = [(okey, ocode, opayload)]
-    if group:
-        yield from emit_group(group)
+    def key_groups() -> Iterator[tuple]:
+        for group in coded_groups(outer, spec_outer, spec_outer.arity):
+            okey, code, payload = group[0]
+            if stats is not None:
+                stats.rows_in += len(group)
+            yield okey, spec_outer.recode(code, width), \
+                rows(group, list(lookup(okey, payload)))
+
+    for _, code, out in filter_stream(
+            key_groups(), lambda _, out: out, out_spec):
+        key, _, payload = out[0]
+        out[0] = key, code, payload
+        yield from out

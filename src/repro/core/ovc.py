@@ -26,6 +26,9 @@ The fundamental results of Section 4 are implemented here:
 - ``compare_full`` — the baseline with the same signature: ignore codes
   and compare keys column by column from column 0.
 - ``merge_coded_runs`` — vectorized merge of coded runs (Section 4.9).
+- ``coded_groups`` and ``OvcSpec.recode`` — the row-wise group cutter
+  and code re-packer every order-preserving operator is built from,
+  twins of the vectorized ``boundary_mask`` and ``rebase_codes``.
 
 The vectorized helpers are the one place outside ``OvcSpec`` that packs
 and unpacks ascending codes.
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -97,6 +100,15 @@ class OvcSpec:
         """Smallest ascending code with offset < ``prefix``: codes at or
         above it start a new group of the first ``prefix`` columns."""
         return (self.arity - prefix + 1) * self.base
+
+    def recode(self, code: int, arity: int) -> int:
+        """``code`` re-packed for a key of the first ``arity`` columns
+        (fewer or more than ``self.arity``): offset and value stay, and
+        an offset at or past ``arity`` becomes the duplicate code."""
+        if self.descending:  # the packing does not depend on the arity
+            return min(code, arity * self.base)
+        shift = (self.arity - arity) * self.base
+        return code - shift if code >= shift + self.base else 0
 
     def check_domain(self, keys: np.ndarray) -> None:
         """Raise ``ValueError`` on a key value outside ``[0, base)``."""
@@ -341,3 +353,24 @@ def boundary_mask(codes: np.ndarray, spec: OvcSpec, prefix: int) -> np.ndarray:
     code is at least ``spec.boundary_code(prefix)`` — one integer
     compare per row."""
     return np.asarray(codes, dtype=np.int64) >= spec.boundary_code(prefix)
+
+
+def coded_groups(stream: Iterable, spec: OvcSpec, prefix: int
+                 ) -> Iterator[list]:
+    """Cut a coded stream into lists of rows, one per group of the first
+    ``prefix`` key columns (Sections 4.3-4.6): a row starts a group iff
+    its offset is below ``prefix``, i.e. its code is at least
+    ``spec.boundary_code(prefix)``. The first row always starts one."""
+    if not 1 <= prefix <= spec.arity:
+        raise ValueError(f"prefix must be in 1..{spec.arity}")
+    if spec.descending:
+        raise NotImplementedError("group cutting implements ascending codes")
+    thresh = spec.boundary_code(prefix)
+    group: list = []
+    for row in stream:
+        if row[1] >= thresh and group:
+            yield group
+            group = []
+        group.append(row)
+    if group:
+        yield group

@@ -101,7 +101,7 @@ def instream_distinct(
         if not len(pdf):
             return
         codes = pdf[OVC_COL].to_numpy(dtype=np.int64)
-        keep = codes != spec.duplicate_code
+        keep = boundary_mask(codes, spec, spec.arity)
         keep[0] = True
         out = pdf.loc[keep].reset_index(drop=True)
         if count_col:

@@ -35,7 +35,8 @@ from pyspark.sql.types import LongType, StructField, StructType
 
 from repro.core.operators.filterop import filter_codes_vectorized
 from repro.core.operators.merge_join import JoinType
-from repro.core.ovc import DEFAULT_BASE, OvcSpec, encode_sorted_array
+from repro.core.ovc import (DEFAULT_BASE, OvcSpec, boundary_mask,
+                            encode_sorted_array)
 from repro.sparkops.ovc_column import (OVC_COL, key_array, map_in_pandas,
                                        whole_partition)
 
@@ -58,7 +59,7 @@ def merge_kernel(
     rows), and its ascending code relative to the previous output row.
     """
     merged_codes = encode_sorted_array(keys, spec)
-    starts = merged_codes != spec.duplicate_code
+    starts = boundary_mask(merged_codes, spec, spec.arity)
     gstart = np.flatnonzero(starts)
     gid = np.cumsum(starts) - 1
     left = tags == _LEFT

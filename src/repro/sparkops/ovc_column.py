@@ -46,10 +46,14 @@ def whole_partition(batches: Iterator[pd.DataFrame]) -> pd.DataFrame:
 def map_in_pandas(df: DataFrame, kernel: Callable, schema: StructType
                   ) -> DataFrame:
     """``df.mapInPandas(kernel, schema)`` with ``evict_zip_importers``
-    run first in every task: how each sparkops kernel enters a worker."""
+    run before and after the kernel in every task: how each sparkops
+    kernel enters a worker. The kernel imports more of an archive while
+    it drains its batches, so the eviction after it spares the worker's
+    next task from re-reading those importers."""
     def task(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         evict_zip_importers()
-        return kernel(batches)
+        yield from kernel(batches)
+        evict_zip_importers()
     return df.mapInPandas(task, schema)
 
 

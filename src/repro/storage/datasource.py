@@ -88,3 +88,4 @@ class OvcReader(DataSourceReader):
         yield pa.RecordBatch.from_arrays(
             [pa.array(c) for c in [*keys.T, *payloads.values(), codes]],
             names=names + run.payload_names + ["_ovc"])
+        evict_zip_importers()  # importers the read added since

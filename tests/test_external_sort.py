@@ -156,6 +156,12 @@ class TestExternalSort:
         assert keys == sorted(set(r[0] for r in rows))
         assert sum(p for _, _, p in out) == 400
 
+    def test_dedup_rejects_descending_codes(self, tmp_path):
+        spec = OvcSpec(3, 100, descending=True)
+        rows = [((1, 1, 1), None)] * 2
+        with pytest.raises(NotImplementedError):
+            list(external_sort(iter(rows), spec, 4, str(tmp_path), dedup=True))
+
     def test_dedup_reduces_spill_volume(self, tmp_path):
         rows = [((i % 4, 0, 0), None) for i in range(300)]
         s_dedup, s_plain = CompareStats(), CompareStats()

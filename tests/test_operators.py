@@ -24,8 +24,8 @@ from repro.core.operators.merge_join import (
 )
 from repro.core.operators.nested_loops import lookup_join
 from repro.core.operators.project import project_stream
-from repro.core.operators.segment import segment_boundaries, segmented_sort
-from repro.core.ovc import OvcSpec
+from repro.core.operators.segment import segmented_sort
+from repro.core.ovc import OvcSpec, coded_groups
 from repro.core.stats import CompareStats
 from tests.helpers import (
     assert_valid_coded_stream,
@@ -147,6 +147,11 @@ class TestDedup:
     def test_empty(self):
         assert list(dedup_stream([], SPEC2)) == []
 
+    def test_rejects_descending_codes(self):
+        spec = OvcSpec(2, 100, descending=True)
+        with pytest.raises(NotImplementedError):
+            list(dedup_stream(coded([(1, 1), (1, 1)], spec), spec))
+
 
 class TestGrouping:
     @staticmethod
@@ -227,8 +232,9 @@ class TestSegmentedSort:
     def test_boundaries_by_offset(self):
         spec = OvcSpec(3, 100)
         keys = [(1, 1, 9), (1, 2, 8), (2, 0, 7), (2, 0, 7)]
-        out = list(segment_boundaries(coded(keys, spec), spec, 1))
-        assert [b for b, *_ in out] == [True, False, True, False]
+        stream = coded(keys, spec)
+        groups = list(coded_groups(stream, spec, 1))
+        assert groups == [stream[:2], stream[2:]]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_resort_a_b_to_a_c(self, seed):
@@ -265,6 +271,12 @@ class TestSegmentedSort:
     def test_empty(self):
         assert list(segmented_sort([], OvcSpec(2, 10), 1,
                                    lambda k, p: (0,), 1)) == []
+
+    @pytest.mark.parametrize("seg_cols", [0, 3])
+    def test_rejects_bad_seg_cols(self, seg_cols):
+        with pytest.raises(ValueError):
+            list(segmented_sort([], OvcSpec(2, 10), seg_cols,
+                                lambda k, p: (0,), 1))
 
 
 def _join_keys(rng, n, dom, arity=2):

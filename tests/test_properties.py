@@ -6,6 +6,9 @@ These are the load-bearing guarantees of the paper:
   brute-force predecessor encoding, and the full-key baseline comparator
   plays the same matches with the same winners;
 - column-value comparisons bounded by N x K;
+- the two primitives the row-wise Section 4 operators are built from:
+  ``coded_groups`` is a group-by on a key prefix, and ``OvcSpec.recode``
+  is the brute-force code of the cut or widened keys;
 - every Section 4 operator's output codes equal the brute-force
   re-encoding of its output stream;
 - the vectorized Spark merge-join kernel joins the same row pairs as
@@ -18,6 +21,7 @@ These are the load-bearing guarantees of the paper:
   comparisons.
 """
 from collections import Counter
+from itertools import groupby
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
@@ -32,6 +36,7 @@ from repro.core.operators.merge_join import JoinType, merge_join
 from repro.core.operators.project import project_stream
 from repro.core.ovc import (
     OvcSpec,
+    coded_groups,
     compare_full,
     compare_update,
     encode_sorted_array,
@@ -142,6 +147,48 @@ def test_inmemory_sort_full_compare_matches_ovc(keys):
     assert out_f == out_o
     assert [k for k, _ in out_f] == sorted(keys)
     assert s_full.row_cmps == s_ovc.row_cmps
+
+
+@st.composite
+def sorted_keys(draw, low=0):
+    """Key arity 1-4 and a sorted, possibly empty key list over the tiny
+    domain ``low..low+2`` (descending codes need ``low`` >= 1)."""
+    arity = draw(st.integers(1, 4))
+    key = st.tuples(*[st.integers(low, low + 2)] * arity)
+    return arity, sorted(draw(st.lists(key, max_size=30)))
+
+
+@settings(max_examples=200)
+@given(sorted_keys(), st.data())
+def test_coded_groups_is_a_group_by_on_the_prefix(sides, data):
+    arity, keys = sides
+    prefix = data.draw(st.integers(1, arity))
+    spec = OvcSpec(arity, 4)
+    stream = coded(keys, spec)
+    groups = list(coded_groups(stream, spec, prefix))
+    assert [row for g in groups for row in g] == stream
+    assert [[k[:prefix] for k, _, _ in g] for g in groups] == \
+        [list(g) for _, g in groupby(k[:prefix] for k in keys)]
+
+
+@settings(max_examples=300)
+@given(st.booleans(), st.integers(1, 6), st.data())
+def test_recode_is_encode_rel_on_cut_or_widened_keys(descending, width,
+                                                     data):
+    # Widened keys get arbitrary extra columns; a duplicate has no one
+    # widened code, so widening is checked on the other rows.
+    low = int(descending)
+    arity, keys = data.draw(sorted_keys(low))
+    spec = OvcSpec(arity, 4, descending)
+    out = OvcSpec(width, 4, descending)
+    pad = st.tuples(*[st.integers(low, low + 2)] * max(width - arity, 0))
+    keys = sorted(k + data.draw(pad) for k in keys)
+    for i, key in enumerate(keys):
+        prev = keys[i - 1] if i else None
+        code = spec.encode_rel(prev and prev[:arity], key[:arity])
+        if width <= arity or code != spec.duplicate_code:
+            assert spec.recode(code, width) == \
+                out.encode_rel(prev and prev[:width], key[:width])
 
 
 @settings(max_examples=60)
