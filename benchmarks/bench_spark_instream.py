@@ -13,7 +13,9 @@ import pytest
 from pyspark.sql.types import LongType, StructField, StructType
 
 from repro.core.ovc import OvcSpec
+from repro.oracle import assert_equivalent
 from repro.sparkops.aggregate import instream_aggregate
+from repro.sparkops.joins import intersect_distinct_ovc
 from repro.sparkops.ovc_column import OVC_COL, attach_ovc, map_in_pandas
 from repro.synth_data import webkeys
 
@@ -158,3 +160,37 @@ def test_python_hop(benchmark, tiny_df, prologue):
 
     rows = benchmark.pedantic(run, rounds=10, iterations=1, warmup_rounds=1)
     assert rows == list(range(10))
+
+
+# -- one INTERSECT through the merge join -------------------------------
+# ``intersect_distinct_ovc`` over two cached 50k-key frames uniform in
+# [0, 100k) with 8 partitions: the query of ``ovc_bench``'s intersect
+# workload, under the same settings (adaptive execution off), timed
+# from the cached inputs to the result on the driver.
+
+@pytest.fixture(scope="module")
+def intersect_inputs(spark):
+    rng = np.random.default_rng(931)
+    sides = []
+    for _ in range(2):
+        pdf = pd.DataFrame({"k": rng.integers(0, 100_000, 50_000)})
+        df = spark.createDataFrame(pdf).cache()
+        df.count()
+        sides.append(df)
+    return sides
+
+
+def test_intersect_distinct_ovc(benchmark, spark, intersect_inputs):
+    t1, t2 = intersect_inputs
+    aqe = "spark.sql.adaptive.enabled"
+    old = spark.conf.get(aqe)
+    spark.conf.set(aqe, "false")
+    try:
+        out = benchmark.pedantic(
+            lambda: intersect_distinct_ovc(t1, t2, ["k"], num_partitions=8)
+            .toPandas(), rounds=10, iterations=1, warmup_rounds=5)
+    finally:
+        spark.conf.set(aqe, old)
+    assert_equivalent(spark.createDataFrame(out.drop(columns=OVC_COL)),
+                      "select k from t1 intersect select k from t2",
+                      t1=t1, t2=t2)

@@ -27,7 +27,8 @@ import os
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
-from repro.core.ovc import OvcSpec, coded_groups, compare_update
+from repro.core.operators.dedup import dedup_stream
+from repro.core.ovc import OvcSpec, compare_update
 from repro.core.runs import RunFile, write_run
 from repro.core.stats import CompareStats
 from repro.core.tree_of_losers import OvcLoserTree
@@ -54,19 +55,6 @@ def sort_in_memory(
 def _check_dedup(dedup: bool, compare: Callable) -> None:
     if dedup and compare is not compare_update:
         raise ValueError("dedup needs the output codes of compare_update")
-
-
-def _dedup_stream(stream: Iterable, spec: OvcSpec,
-                  counts_in: bool = False) -> Iterator[tuple]:
-    """Collapse adjacent equal keys (duplicate code) into one row whose
-    payload is the duplicate count; codes of survivors are unchanged
-    (Section 4.4). With ``counts_in`` the incoming payloads are already
-    counts (rows read back from deduplicated runs) and are summed;
-    otherwise each input row counts 1 and its payload is discarded."""
-    for group in coded_groups(stream, spec, spec.arity):
-        key, code, _ = group[0]
-        yield key, code, sum(map(itemgetter(2), group)) if counts_in \
-            else len(group)
 
 
 def generate_runs(
@@ -108,7 +96,7 @@ def generate_runs(
             [r[0] for r in load], spec, stats, [r[1] for r in load], compare
         )
         if dedup:
-            sorted_stream = _dedup_stream(sorted_stream, spec)
+            sorted_stream = dedup_stream(sorted_stream, spec, payload=len)
         if not runs and first_load is None and len(load) < memory_rows:
             # whole input fit in memory: no spill at all
             return [], sorted_stream
@@ -144,7 +132,9 @@ def merge_runs(
     consuming the stored OVCs and producing output OVCs."""
     _check_dedup(dedup, compare)
     merged = iter(OvcLoserTree(list(runs), spec, stats, compare))
-    return _dedup_stream(merged, spec, counts_in=True) if dedup else merged
+    # Rows read back from deduplicated runs carry counts: sum them.
+    return dedup_stream(merged, spec, payload=lambda group: sum(
+        map(itemgetter(2), group))) if dedup else merged
 
 
 def external_sort(

@@ -5,11 +5,12 @@ equals the arity (duplicate code), so the groups ``coded_groups`` cuts
 on the full key are the duplicate groups; emitting each group's first
 row with its code unchanged is the whole operator. Since a dropped
 duplicate's code is the combine-neutral element, the filter rule of
-Section 4.1 degenerates to "keep the code as is".
+Section 4.1 degenerates to "keep the code as is". In-sort duplicate
+removal (``external_sort(dedup=True)``) runs the same loop.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.core.ovc import OvcSpec, coded_groups
 from repro.core.stats import CompareStats
@@ -19,13 +20,14 @@ def dedup_stream(
     stream: Iterable,
     spec: OvcSpec,
     stats: CompareStats | None = None,
-    count_payloads: bool = False,
+    payload: Callable[[list], Any] | None = None,
 ) -> Iterator[tuple]:
-    """Drop rows with the duplicate code. With ``count_payloads`` the
-    surviving row's payload is the size of its duplicate group."""
+    """Drop rows with the duplicate code. The surviving row keeps its
+    payload, or gets ``payload(group)`` over the ``(key, code,
+    payload)`` rows of its duplicate group: ``len`` counts them."""
     for group in coded_groups(stream, spec, spec.arity):
-        key, code, payload = group[0]
+        key, code, first = group[0]
         if stats is not None:
             stats.rows_in += len(group)
             stats.rows_out += 1
-        yield key, code, len(group) if count_payloads else payload
+        yield key, code, first if payload is None else payload(group)

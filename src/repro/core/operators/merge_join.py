@@ -82,6 +82,8 @@ def merge_join(
         # One (key, group code, output payloads) item per distinct key;
         # the group code is its first merged row's.
         for group in coded_groups(merged, spec, spec.arity):
+            if stats is not None:
+                stats.rows_in += len(group)
             lp, rp = [], []
             for _, _, (tag, p) in group:
                 (rp if tag else lp).append(p)

@@ -63,8 +63,6 @@ def lookup_join(
             pad = (0,) * inner_arity
             return [] if join_type == "inner" else \
                 [(okey + pad, dup, (p, None)) for _, _, p in group]
-        if stats is not None:
-            stats.rows_out += len(inners) * len(group)
         # Inner loop outermost within a duplicate-outer group ("roles
         # reversed", Section 4.8). An inner code's offset shifts by KO,
         # so numerically it is unchanged under the output arity.
@@ -83,6 +81,8 @@ def lookup_join(
 
     for _, code, out in filter_stream(
             key_groups(), lambda _, out: out, out_spec):
+        if stats is not None:
+            stats.rows_out += len(out)
         key, _, payload = out[0]
         out[0] = key, code, payload
         yield from out

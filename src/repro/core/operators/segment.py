@@ -39,6 +39,7 @@ def segmented_sort(
     for seg in coded_groups(stream, spec_in, seg_cols):
         if stats is not None:
             stats.rows_in += len(seg)
+            stats.rows_out += len(seg)
         # Sort the segment on C. Its first output row carries the
         # segment's boundary code (offset < |A|) re-packed for the output
         # arity; later rows carry the C-sort code, whose value under base

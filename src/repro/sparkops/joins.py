@@ -2,12 +2,14 @@
 one vectorized kernel.
 
 PySpark exposes no zipPartitions for DataFrames, so the two inputs are
-combined with the standard trick for co-partitioned merges: tag each
-side, union, range-partition by the join key (equal keys land in one
+combined as Spark's own sort-merge join combines them: tag each side,
+union, hash-partition by the join key (equal keys land in one
 partition) and sort within partitions by (key, tag). Each partition
-then holds both sides' rows of a key range in merge order, with a
+then holds both sides' rows of whole key groups in merge order, with a
 key's left rows before its right rows, and one ``mapInPandas`` runs
-``merge_kernel`` over it.
+``merge_kernel`` over it. The join needs no total order across
+partitions, so there is no range-sampling job: one query is one Spark
+job.
 
 The kernel is the Section 4.7 merge join in numpy. Equal join keys are
 exactly the rows with the duplicate code in the merged stream, so the
@@ -18,7 +20,7 @@ multi-match carry the duplicate code.
 
 ``intersect_distinct_ovc`` folds Section 4.4 duplicate removal into
 the kernel: only a key group's first left row may match, so a semi join
-yields INTERSECT DISTINCT in one range shuffle and one Python pass.
+yields INTERSECT DISTINCT in one hash shuffle and one Python pass.
 
 Non-key columns are carried as payloads; output column layout: key
 columns, left non-key columns, right non-key columns (inner/outer
@@ -105,9 +107,12 @@ def merge_join_ovc(
     """Merge join of two inputs on integral key columns ``on``.
 
     ``how``: inner, left_semi, left_anti, left_outer. Inputs need not
-    be pre-sorted or carry ``_ovc``: the tagged union is range-
-    partitioned and sorted here (the "interesting ordering" a real
-    planner would have arranged), and codes are derived by the kernel.
+    be pre-sorted or carry ``_ovc``: the tagged union is hash
+    co-partitioned on ``on`` and sorted within partitions here (the
+    "interesting ordering" a real planner would have arranged), and
+    codes are derived by the kernel. Each output partition is a sorted
+    coded stream of whole key groups; there is no total order across
+    partitions.
     Key values must be non-null and in ``[0, base)``; the executors
     raise ``ValueError`` otherwise.
     """
@@ -135,8 +140,7 @@ def _merge_join(left: DataFrame, right: DataFrame, on: list[str],
     parts = num_partitions or int(
         left.sparkSession.conf.get("spark.sql.shuffle.partitions")
     )
-    tagged = tagged.repartitionByRange(parts, *on) \
-                   .sortWithinPartitions(*on, _TAG)
+    tagged = tagged.repartition(parts, *on).sortWithinPartitions(*on, _TAG)
 
     out_fields = [StructField(c, LongType()) for c in on]
     out_fields += [left.schema[c] for c in lcols]

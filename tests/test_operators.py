@@ -132,7 +132,7 @@ class TestDedup:
 
     def test_counts(self):
         keys = [(1, 1), (1, 1), (2, 0), (2, 0), (2, 0), (3, 5)]
-        out = list(dedup_stream(coded(keys, SPEC2), SPEC2, count_payloads=True))
+        out = list(dedup_stream(coded(keys, SPEC2), SPEC2, payload=len))
         assert [p for _, _, p in out] == [2, 3, 1]
 
     @pytest.mark.parametrize("seed", range(5))

@@ -2,6 +2,8 @@
 duplicate removal, merge joins, and intersect — all result-checked
 against DuckDB via the oracle.
 """
+import uuid
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -16,11 +18,33 @@ from repro.sparkops.ovc_column import OVC_COL, attach_ovc, check_ovc
 from repro.synth_data import uniform_keys, webkeys
 
 KEYS4 = ["k0", "k1", "k2", "k3"]
+AQE = "spark.sql.adaptive.enabled"
 
 
 @pytest.fixture(scope="module")
 def web_df(spark):
     return webkeys(spark, n=5000, key_cols=4, ratio=10.0, seed=1).cache()
+
+
+def assert_one_hash_shuffle_in_one_job(spark, df):
+    """``df``'s plan holds one hash exchange and no range exchange, and
+    collecting it runs one Spark job (no range-sampling job). Adaptive
+    execution is off here, as in the benchmark: it submits each
+    shuffle's map stage as a job of its own."""
+    sc = spark.sparkContext
+    group = f"one-job-{uuid.uuid4().hex}"
+    old = spark.conf.get(AQE)
+    spark.conf.set(AQE, "false")
+    try:
+        sc.setJobGroup(group, group)
+        df.collect()
+        plan = df._jdf.queryExecution().executedPlan().toString()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        spark.conf.set(AQE, old)
+    assert plan.count("Exchange hashpartitioning") == 1
+    assert "rangepartitioning" not in plan
+    assert len(sc.statusTracker().getJobIdsForGroup(group)) == 1
 
 
 class TestAttachOvc:
@@ -194,6 +218,10 @@ class TestMergeJoin:
         with pytest.raises(ValueError, match="reserved column name"):
             merge_join_ovc(l, l.select("k"), ["k"])
 
+    def test_runs_one_hash_shuffle_in_one_job(self, spark, lr):
+        assert_one_hash_shuffle_in_one_job(
+            spark, merge_join_ovc(*lr, self.on, "inner", num_partitions=4))
+
 
 class TestMergeJoinTwoKeys(TestMergeJoin):
     on = ["k", "j"]
@@ -218,6 +246,8 @@ class TestIntersectDistinct:
         out = df.withColumn("pid", F.spark_partition_id()).toPandas()
         spec = OvcSpec(len(self.on))
         assert out["pid"].nunique() > 1
+        # Hash co-partitioning keeps each key group in one partition.
+        assert (out.groupby(self.on)["pid"].nunique() == 1).all()
         for _, pdf in out.groupby("pid"):
             arr = pdf[self.on].to_numpy(dtype=np.int64)
             assert (arr[np.lexsort(arr.T[::-1])] == arr).all()
@@ -241,9 +271,9 @@ class TestIntersectDistinct:
         self.assert_partitions_sorted_and_coded(
             intersect_distinct_ovc(*tt, self.on, num_partitions=4))
 
-    def test_runs_one_range_shuffle(self, spark, tt):
-        out = intersect_distinct_ovc(*tt, self.on, num_partitions=4)
-        assert self.final_plan(out).count("Exchange rangepartitioning") == 1
+    def test_runs_one_hash_shuffle_in_one_job(self, spark, tt):
+        assert_one_hash_shuffle_in_one_job(
+            spark, intersect_distinct_ovc(*tt, self.on, num_partitions=4))
 
     def test_runs_one_python_hop(self, spark, tt):
         # Duplicate removal runs inside the join kernel, not as a
