@@ -7,11 +7,12 @@ rows carry OVCs relative to their predecessor as a free by-product.
 (Replacement selection with run numbers would double the expected run
 length to 2M; see DESIGN.md for why this substitution is immaterial.)
 
-If the input fits in memory the single run is yielded directly without
-spilling; otherwise runs go to disk and a final multiway merge (again a
-tree-of-losers queue, consuming the stored codes) produces the output —
-so each input row is spilled exactly once, the property Figure 3 relies
-on.
+Whether the input spills is the one rule of ``core.runs.memory_loads``:
+if the input fits in one memory load, its sorted run is yielded directly
+without spilling; otherwise every load goes to disk as one run and a
+final multiway merge (again a tree-of-losers queue, consuming the stored
+codes) produces the output — so each input row is spilled exactly once,
+the property Figure 3 relies on.
 
 ``dedup=True`` enables in-sort duplicate removal [10]: duplicates are
 collapsed (with a count payload) both during run generation and during
@@ -29,7 +30,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.core.operators.dedup import dedup_stream
 from repro.core.ovc import OvcSpec, compare_update
-from repro.core.runs import RunFile, write_run
+from repro.core.runs import RunFile, memory_loads, write_run
 from repro.core.stats import CompareStats
 from repro.core.tree_of_losers import OvcLoserTree
 
@@ -69,56 +70,25 @@ def generate_runs(
 ) -> tuple[list[RunFile], Iterator[tuple] | None]:
     """Run generation. ``rows`` yields ``(key, payload)``.
 
-    Returns ``(run_files, in_memory_stream)``: if the whole input fit in
-    one memory load, ``run_files`` is empty and the sorted stream is
-    returned directly (no spill); otherwise all runs are on disk and the
-    second element is None.
+    Returns ``(run_files, in_memory_stream)``: if the whole input fits in
+    one memory load (``memory_loads``), ``run_files`` is empty and the
+    sorted stream is returned directly (no spill); otherwise each load
+    is sorted and written as run ``{tag}-{i}.arrow``, and the second
+    element is None.
     """
-    if memory_rows < 1:
-        raise ValueError("memory_rows must be >= 1")
     _check_dedup(dedup, compare)
-    it = iter(rows)
-    runs: list[RunFile] = []
-    first_load: list[tuple] | None = None
-    any_input = False
-    n_run = 0
-    while True:
-        load = []
-        for _ in range(memory_rows):
-            try:
-                load.append(next(it))
-            except StopIteration:
-                break
-        if not load:
-            break
-        any_input = True
-        sorted_stream = sort_in_memory(
-            [r[0] for r in load], spec, stats, [r[1] for r in load], compare
-        )
-        if dedup:
-            sorted_stream = dedup_stream(sorted_stream, spec, payload=len)
-        if not runs and first_load is None and len(load) < memory_rows:
-            # whole input fit in memory: no spill at all
-            return [], sorted_stream
-        if first_load is not None:
-            # second load arrived: spill the buffered first load now
-            runs.append(write_run(os.path.join(tmpdir, f"{tag}-0.arrow"),
-                                  first_load, spec, stats))
-            first_load = None
-        if not runs and first_load is None and len(load) == memory_rows:
-            # might still be the only load; buffer it until we know
-            first_load = list(sorted_stream)
-            n_run += 1
-            continue
-        runs.append(write_run(os.path.join(tmpdir, f"{tag}-{n_run}.arrow"),
-                              sorted_stream, spec, stats))
-        n_run += 1
-    if first_load is not None:
-        # exactly one full memory load: still fits, return directly
-        return [], iter(first_load)
-    if not any_input:
-        return [], iter(())
-    return runs, None
+    fits, loads = memory_loads(rows, memory_rows)
+
+    def sort_load(load: list[tuple]) -> Iterator[tuple]:
+        stream = sort_in_memory([r[0] for r in load], spec, stats,
+                                [r[1] for r in load], compare)
+        return dedup_stream(stream, spec, payload=len) if dedup else stream
+
+    if fits:
+        return [], sort_load(next(loads, []))
+    return [write_run(os.path.join(tmpdir, f"{tag}-{i}.arrow"),
+                      sort_load(load), spec, stats)
+            for i, load in enumerate(loads)], None
 
 
 def merge_runs(

@@ -342,9 +342,11 @@ def decode_offsets(codes: np.ndarray, spec: OvcSpec) -> np.ndarray:
 
 def rebase_codes(codes: np.ndarray, spec: OvcSpec, arity: int) -> np.ndarray:
     """Re-pack codes of offset < ``arity`` for the key's first ``arity``
-    columns (a group's code after in-stream aggregation)."""
-    return pack_codes(decode_offsets(codes, spec),
-                      np.asarray(codes) % spec.base, OvcSpec(arity, spec.base))
+    columns (a group's code after in-stream aggregation); the other
+    codes become the duplicate code 0. ``OvcSpec.recode``, vectorized."""
+    codes = np.asarray(codes, dtype=np.int64)
+    shift = (spec.arity - arity) * spec.base
+    return np.where(codes >= shift + spec.base, codes - shift, 0)
 
 
 def boundary_mask(codes: np.ndarray, spec: OvcSpec, prefix: int) -> np.ndarray:

@@ -9,10 +9,14 @@ relative to its predecessor in the same run, so re-reading a run yields
 a stream directly mergeable by ``OvcLoserTree`` — the effort spent on
 comparisons during run generation is preserved on disk, exactly the
 paper's point about sorted storage structures (Section 4.11).
+
+``memory_loads`` is the spill rule of every Figure 3 blocking operator:
+an input that fits in one load of ``memory_rows`` rows stays in memory.
 """
 from __future__ import annotations
 
 import os
+from itertools import chain, islice
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -23,6 +27,21 @@ from repro.core.ovc import OvcSpec
 from repro.core.stats import CompareStats
 
 _BATCH = 65536
+
+
+def memory_loads(rows: Iterable, memory_rows: int
+                 ) -> tuple[bool, Iterator[list]]:
+    """``(fits, loads)``: whether ``rows`` fits in one memory load of
+    ``memory_rows`` rows (decided by peeking ``memory_rows + 1`` rows),
+    and the input cut into lists of ``memory_rows`` rows, in order;
+    only the last load may be shorter, and none is empty."""
+    if memory_rows < 1:
+        raise ValueError("memory_rows must be >= 1")
+    it = iter(rows)
+    head = list(islice(it, memory_rows + 1))
+    it = chain(head, it)
+    return (len(head) <= memory_rows,
+            iter(lambda: list(islice(it, memory_rows)), []))
 
 
 class RunWriter:

@@ -1,7 +1,7 @@
 """External hash aggregation (duplicate removal / grouping baseline).
 
-Grace-style: when the input exceeds the operator's memory budget, ALL
-input rows are hash-partitioned to disk (one spill per row — this is
+Grace-style: when the input overflows one memory load (``memory_loads``),
+ALL input rows are hash-partitioned to disk (one spill per row — this is
 how the hash plan in Figure 3 pays its first spill pass), then each
 partition is aggregated in memory. When the input fits, a single
 in-memory hash table is used and nothing spills.
@@ -14,8 +14,9 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterable, Iterator
 
+from repro.core.runs import memory_loads
 from repro.core.stats import CompareStats
-from repro.hashexec.spill import partition_to_disk
+from repro.hashexec.spill import grace_fanout, partition_to_disk
 
 
 def _agg_in_memory(rows: Iterable[tuple], agg: Callable, init: Callable,
@@ -47,35 +48,23 @@ def hash_aggregate(
     ``(key, accumulator)`` in arbitrary (hash) order.
 
     ``n_input_hint`` plays the role of the optimizer's cardinality
-    estimate: with a hint <= memory_rows the operator goes straight to
-    the in-memory path; otherwise it buffers up to ``memory_rows`` rows
-    and falls back to Grace partitioning as soon as the budget
-    overflows, spilling *every* input row (also the buffered ones) once.
+    estimate: with a hint <= memory_rows the operator stays in memory;
+    otherwise it Grace-partitions as soon as the input overflows one
+    memory load, spilling *every* input row (also the peeked ones) once.
     """
-    if memory_rows < 1:
-        raise ValueError("memory_rows must be >= 1")
-    it = iter(rows)
-    if n_input_hint is None or n_input_hint > memory_rows:
-        head = list(itertools.islice(it, memory_rows + 1))
-        if len(head) > memory_rows:
-            # overflow: Grace-partition everything to disk, then
-            # aggregate partition by partition in memory.
-            n_parts = max(
-                2,
-                -(-(n_input_hint or len(head) * 4) // memory_rows),
-            )
-            parts = partition_to_disk(
-                itertools.chain(head, it), arity, n_parts, tmpdir, tag, stats
-            )
-            for part in parts:
-                table = _agg_in_memory(((k, p) for k, _, p in part),
-                                       agg, init, arity, stats)
-                yield from table.items()
-                part.delete()
-            return
-        it = iter(head)
-    table = _agg_in_memory(it, agg, init, arity, stats)
-    yield from table.items()
+    fits, loads = memory_loads(rows, memory_rows)
+    rows = itertools.chain.from_iterable(loads)
+    if fits or (n_input_hint is not None and n_input_hint <= memory_rows):
+        yield from _agg_in_memory(rows, agg, init, arity, stats).items()
+        return
+    # overflow: Grace-partition everything to disk, then aggregate
+    # partition by partition in memory.
+    for part in partition_to_disk(rows, arity,
+                                  grace_fanout(memory_rows, n_input_hint),
+                                  tmpdir, tag, stats):
+        yield from _agg_in_memory(((k, p) for k, _, p in part),
+                                  agg, init, arity, stats).items()
+        part.delete()
 
 
 def hash_distinct(

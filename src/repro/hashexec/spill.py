@@ -5,7 +5,7 @@ one spill-file format in this repo) with code 0, since hash partitions
 are unsorted; every written row counts into ``stats.rows_spilled`` (the
 Figure 3 currency). Both plans therefore pay the same per-row I/O cost.
 Reading a partition back yields ``(key, code, payload)``; the hash
-operators drop the code.
+operators drop the code. ``grace_fanout`` is the one choice of F.
 """
 from __future__ import annotations
 
@@ -15,6 +15,13 @@ from typing import Iterable
 from repro.core.ovc import OvcSpec
 from repro.core.runs import RunFile, RunWriter
 from repro.core.stats import CompareStats
+
+
+def grace_fanout(memory_rows: int, n_hint: int | None) -> int:
+    """Partitions for an input that overflowed ``memory_rows`` rows:
+    enough for the cardinality hint (else four times a memory load plus
+    one row) to fit a partition in memory, and at least two."""
+    return max(2, -(-(n_hint or 4 * (memory_rows + 1)) // memory_rows))
 
 
 def partition_to_disk(

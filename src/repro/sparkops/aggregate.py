@@ -19,7 +19,7 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql.types import LongType, StructField, StructType
 
-from repro.core.ovc import DEFAULT_BASE, OvcSpec, boundary_mask, rebase_codes
+from repro.core.ovc import OvcSpec, boundary_mask, rebase_codes
 from repro.sparkops.ovc_column import OVC_COL, map_in_pandas, whole_partition
 
 _AGGS = {"count", "sum", "min", "max"}
@@ -30,7 +30,6 @@ def instream_aggregate(
     keys: Sequence[str],
     group_cols: int,
     aggs: Mapping[str, tuple[str, str]],
-    base: int = DEFAULT_BASE,
 ) -> DataFrame:
     """Aggregate a coded stream on the leading ``group_cols`` of
     ``keys``. ``aggs`` maps output column -> (input column | "*", one of
@@ -38,7 +37,7 @@ def instream_aggregate(
     (arity ``group_cols``).
     """
     keys = list(keys)
-    spec = OvcSpec(len(keys), base)
+    spec = OvcSpec(len(keys))
     if not 1 <= group_cols <= len(keys):
         raise ValueError("group_cols out of range")
     for out_col, (src, how) in aggs.items():
@@ -81,14 +80,13 @@ def instream_aggregate(
 def instream_distinct(
     df: DataFrame,
     keys: Sequence[str],
-    base: int = DEFAULT_BASE,
     count_col: str | None = None,
 ) -> DataFrame:
     """Duplicate removal on the full key (Section 4.4): suppress rows
     with the duplicate code; survivors keep their codes. Optionally
     adds a duplicate count column."""
     keys = list(keys)
-    spec = OvcSpec(len(keys), base)
+    spec = OvcSpec(len(keys))
     out_fields = list(df.schema.fields)
     if count_col:
         out_fields = [f for f in out_fields if f.name != OVC_COL]

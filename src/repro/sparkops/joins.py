@@ -37,8 +37,7 @@ from pyspark.sql.types import LongType, StructField, StructType
 
 from repro.core.operators.filterop import filter_codes_vectorized
 from repro.core.operators.merge_join import JoinType
-from repro.core.ovc import (DEFAULT_BASE, OvcSpec, boundary_mask,
-                            encode_sorted_array)
+from repro.core.ovc import OvcSpec, boundary_mask, encode_sorted_array
 from repro.sparkops.ovc_column import (OVC_COL, key_array, map_in_pandas,
                                        whole_partition)
 
@@ -101,7 +100,6 @@ def merge_join_ovc(
     right: DataFrame,
     on: Sequence[str],
     how: str = "inner",
-    base: int = DEFAULT_BASE,
     num_partitions: int | None = None,
 ) -> DataFrame:
     """Merge join of two inputs on integral key columns ``on``.
@@ -113,17 +111,17 @@ def merge_join_ovc(
     codes are derived by the kernel. Each output partition is a sorted
     coded stream of whole key groups; there is no total order across
     partitions.
-    Key values must be non-null and in ``[0, base)``; the executors
+    Key values must be non-null and in ``[0, 2**32)``; the executors
     raise ``ValueError`` otherwise.
     """
-    return _merge_join(left, right, list(on), JoinType(how), base,
-                       num_partitions, distinct=False)
+    return _merge_join(left, right, list(on), JoinType(how), num_partitions,
+                       distinct=False)
 
 
 def _merge_join(left: DataFrame, right: DataFrame, on: list[str],
-                jt: JoinType, base: int, num_partitions: int | None,
+                jt: JoinType, num_partitions: int | None,
                 distinct: bool) -> DataFrame:
-    spec = OvcSpec(len(on), base)
+    spec = OvcSpec(len(on))
     if _TAG in left.columns or _TAG in right.columns:
         raise ValueError(f"reserved column name: {_TAG!r}")
     lcols = [c for c in left.columns if c not in on and c != OVC_COL]
@@ -176,7 +174,6 @@ def intersect_distinct_ovc(
     left: DataFrame,
     right: DataFrame,
     on: Sequence[str],
-    base: int = DEFAULT_BASE,
     num_partitions: int | None = None,
 ) -> DataFrame:
     """``SELECT on FROM left INTERSECT SELECT on FROM right``: a semi
@@ -184,5 +181,5 @@ def intersect_distinct_ovc(
     match, so duplicates are removed in the join's own pass."""
     on = list(on)
     return _merge_join(left.select(on), right.select(on), on,
-                       JoinType.LEFT_SEMI, base, num_partitions,
+                       JoinType.LEFT_SEMI, num_partitions,
                        distinct=True)

@@ -16,9 +16,9 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql.types import BooleanType, LongType, StructField, StructType
+from pyspark.sql.types import LongType, StructField, StructType
 
-from repro.core.ovc import DEFAULT_BASE, OvcSpec, encode_sorted_array
+from repro.core.ovc import OvcSpec, encode_sorted_array
 from repro.executor import evict_zip_importers
 
 OVC_COL = "_ovc"
@@ -60,7 +60,6 @@ def map_in_pandas(df: DataFrame, kernel: Callable, schema: StructType
 def attach_ovc(
     df: DataFrame,
     keys: Sequence[str],
-    base: int = DEFAULT_BASE,
     partition_on: Sequence[str] | None = None,
     num_partitions: int | None = None,
 ) -> DataFrame:
@@ -69,7 +68,7 @@ def attach_ovc(
     ``partition_on`` (default: all of ``keys``) chooses the range-
     partitioning prefix; pass the group-by prefix when a downstream
     in-stream aggregation must see whole groups inside one partition.
-    All key columns must be integral, non-null and in ``[0, base)``;
+    All key columns must be integral, non-null and in ``[0, 2**32)``;
     the executors raise ``ValueError`` otherwise.
     """
     keys = list(keys)
@@ -79,7 +78,7 @@ def attach_ovc(
     if not set(partition_on) <= set(keys) or \
             partition_on != keys[: len(partition_on)]:
         raise ValueError("partition_on must be a prefix of keys")
-    spec = OvcSpec(len(keys), base)
+    spec = OvcSpec(len(keys))
     parts = num_partitions or df.sparkSession.conf.get(
         "spark.sql.shuffle.partitions"
     )
@@ -101,27 +100,3 @@ def attach_ovc(
             yield out
 
     return map_in_pandas(sdf, encode, out_schema)
-
-
-def check_ovc(df: DataFrame, keys: Sequence[str],
-              base: int = DEFAULT_BASE) -> bool:
-    """Validate ``_ovc`` per partition against the vectorized encoder —
-    a debugging/testing aid (collects per-partition results)."""
-    spec = OvcSpec(len(keys), base)
-    keys = list(keys)
-
-    def verify(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        pdf = whole_partition(batches)
-        ok = True
-        if len(pdf):
-            arr = key_array(pdf, keys)
-            ok = bool(
-                (encode_sorted_array(arr, spec) ==
-                 pdf[OVC_COL].to_numpy(dtype=np.int64)).all()
-            )
-        yield pd.DataFrame({"ok": [ok]})
-
-    res = map_in_pandas(
-        df, verify, StructType([StructField("ok", BooleanType())])
-    )
-    return all(r["ok"] for r in res.collect())

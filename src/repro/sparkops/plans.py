@@ -43,7 +43,6 @@ class PlanResult:
 def fig1_instream_aggregation(
     keys: np.ndarray,
     group_cols: int,
-    base: int = 1 << 32,
 ) -> dict[str, PlanResult]:
     """Run the Figure 1 experiment on pre-sorted keys (n, K).
 
@@ -53,7 +52,7 @@ def fig1_instream_aggregation(
     paper measures only the consumer exploiting the preceding sort).
     """
     n, k = keys.shape
-    spec = OvcSpec(k, base)
+    spec = OvcSpec(k)
     codes = encode_sorted_array(keys, spec)
     out: dict[str, PlanResult] = {}
 

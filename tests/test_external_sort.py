@@ -9,7 +9,7 @@ from repro.core.external_sort import (
     sort_in_memory,
 )
 from repro.core.ovc import OvcSpec, compare_full
-from repro.core.runs import RunFile, write_run
+from repro.core.runs import RunFile, memory_loads, write_run
 from repro.core.stats import CompareStats
 
 SPEC = OvcSpec(arity=3, base=100)
@@ -84,6 +84,23 @@ class TestSortInMemory:
         stats = CompareStats()
         list(sort_in_memory([r[0] for r in rows], OvcSpec(4, 100), stats))
         assert stats.col_cmps <= 500 * 4
+
+
+class TestMemoryLoads:
+    @pytest.mark.parametrize("mem,n", [
+        (m, n) for m in (1, 3)
+        for n in sorted({0, m - 1, m, m + 1, 2 * m, 2 * m + 1})])
+    def test_fits_iff_one_load_and_cuts_full_loads(self, mem, n):
+        fits, loads = memory_loads(iter(range(n)), mem)
+        loads = list(loads)
+        assert fits == (n <= mem)
+        assert [r for load in loads for r in load] == list(range(n))
+        assert all(len(load) == mem for load in loads[:-1])
+        assert all(1 <= len(load) <= mem for load in loads)
+
+    def test_rejects_zero_memory(self):
+        with pytest.raises(ValueError):
+            memory_loads(iter([]), 0)
 
 
 class TestGenerateRuns:

@@ -124,6 +124,10 @@ class TestHashJoin:
                        stats, n_build_hint=100))
         assert stats.col_accesses == 200 * 3
 
+    def test_rejects_zero_memory(self, tmp_path):
+        with pytest.raises(ValueError):
+            list(hash_join(iter([]), iter([]), 1, 0, str(tmp_path)))
+
 
 class TestHashPlanCounters:
     def test_rowwise_intersect_counters(self, tmp_path):

@@ -8,7 +8,8 @@ These are the load-bearing guarantees of the paper:
 - column-value comparisons bounded by N x K;
 - the two primitives the row-wise Section 4 operators are built from:
   ``coded_groups`` is a group-by on a key prefix, and ``OvcSpec.recode``
-  is the brute-force code of the cut or widened keys;
+  is the brute-force code of the cut or widened keys, and the
+  vectorized ``rebase_codes`` is ``recode`` element by element;
 - every Section 4 operator's output codes equal the brute-force
   re-encoding of its output stream;
 - the vectorized Spark merge-join kernel joins the same row pairs as
@@ -41,6 +42,7 @@ from repro.core.ovc import (
     compare_update,
     encode_sorted_array,
     merge_coded_runs,
+    rebase_codes,
 )
 from repro.core.stats import CompareStats
 from repro.core.tree_of_losers import OvcLoserTree
@@ -189,6 +191,18 @@ def test_recode_is_encode_rel_on_cut_or_widened_keys(descending, width,
         if width <= arity or code != spec.duplicate_code:
             assert spec.recode(code, width) == \
                 out.encode_rel(prev and prev[:width], key[:width])
+
+
+@settings(max_examples=200)
+@given(sorted_keys())
+def test_rebase_codes_is_recode(sides):
+    arity, keys = sides
+    spec = OvcSpec(arity, 4)
+    codes = encode_sorted_array(
+        np.array(keys, dtype=np.int64).reshape(-1, arity), spec)
+    for width in range(1, arity + 1):
+        assert rebase_codes(codes, spec, width).tolist() == \
+            [spec.recode(c, width) for c in codes.tolist()]
 
 
 @settings(max_examples=60)

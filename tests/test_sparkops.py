@@ -14,7 +14,7 @@ from repro.core.ovc import OvcSpec, encode_sorted_array
 from repro.oracle import assert_equivalent
 from repro.sparkops.aggregate import instream_aggregate, instream_distinct
 from repro.sparkops.joins import intersect_distinct_ovc, merge_join_ovc
-from repro.sparkops.ovc_column import OVC_COL, attach_ovc, check_ovc
+from repro.sparkops.ovc_column import OVC_COL, attach_ovc
 from repro.synth_data import uniform_keys, webkeys
 
 KEYS4 = ["k0", "k1", "k2", "k3"]
@@ -48,17 +48,16 @@ def assert_one_hash_shuffle_in_one_job(spark, df):
 
 
 class TestAttachOvc:
-    def test_codes_valid_per_partition(self, spark, web_df):
-        coded = attach_ovc(web_df, KEYS4, num_partitions=8)
-        assert check_ovc(coded, KEYS4)
-
-    def test_partition_streams_are_sorted_and_coded(self, spark, web_df):
-        coded = attach_ovc(web_df, KEYS4, num_partitions=4) \
+    @pytest.mark.parametrize("parts", [4, 8])
+    def test_partition_streams_are_sorted_and_coded(self, spark, web_df,
+                                                    parts):
+        coded = attach_ovc(web_df, KEYS4, num_partitions=parts) \
             .withColumn("pid", F.spark_partition_id()).toPandas()
         spec = OvcSpec(4)
         assert coded["pid"].nunique() > 1
         for _, pdf in coded.groupby("pid"):
             arr = pdf[KEYS4].to_numpy(dtype=np.int64)
+            assert (arr[np.lexsort(arr.T[::-1])] == arr).all()
             assert (encode_sorted_array(arr, spec) ==
                     pdf[OVC_COL].to_numpy()).all()
 
