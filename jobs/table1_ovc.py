@@ -11,22 +11,29 @@ ROWS = [
 ]
 
 
+def descending_code(spec: OvcSpec, code: int) -> int:
+    """Table 1's descending code of the row whose ascending code is
+    ``code``: offset * domain + (domain - value), arity * domain for a
+    duplicate. Larger descending codes sort earlier."""
+    offset = spec.offset_of(code)
+    if offset == spec.arity:
+        return spec.arity * spec.base
+    return offset * spec.base + spec.base - spec.value_of(code)
+
+
 def table1() -> list[tuple]:
     """Rows of Table 1: key, (offset, domain-value, desc OVC),
     (arity-offset, value, asc OVC)."""
-    asc = OvcSpec(4, 100)
-    desc = OvcSpec(4, 100, descending=True)
+    spec = OvcSpec(4, 100)
     out = []
     for i, row in enumerate(ROWS):
-        prev = ROWS[i - 1] if i else None
-        ca, cd = asc.encode_rel(prev, row), desc.encode_rel(prev, row)
+        c = spec.encode_rel(ROWS[i - 1] if i else None, row)
+        off, value = spec.offset_of(c), (spec.value_of(c) if c else None)
         out.append((
             row,
-            (desc.offset_of(cd),
-             desc.base - desc.value_of(cd) if desc.value_of(cd) else None,
-             cd),
-            (asc.arity - asc.offset_of(ca),
-             asc.value_of(ca) if ca else None, ca),
+            (off, None if value is None else spec.base - value,
+             descending_code(spec, c)),
+            (spec.arity - off, value, c),
         ))
     return out
 

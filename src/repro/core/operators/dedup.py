@@ -4,7 +4,7 @@ In a sorted OVC-coded stream a duplicate is exactly a row whose offset
 equals the arity (duplicate code), so the groups ``coded_groups`` cuts
 on the full key are the duplicate groups; emitting each group's first
 row with its code unchanged is the whole operator. Since a dropped
-duplicate's code is the combine-neutral element, the filter rule of
+duplicate's code 0 is neutral under max, the filter rule of
 Section 4.1 degenerates to "keep the code as is". In-sort duplicate
 removal (``external_sort(dedup=True)``) runs the same loop.
 """

@@ -1,8 +1,8 @@
 """Section 4.9: order-preserving exchange (shuffle) over sorted streams.
 
 A one-to-many ("splitting") exchange is a filter with respect to each
-output partition: every partition's stream derives its codes by
-max-combining the codes of rows routed elsewhere (Section 4.1).
+output partition: every partition's stream folds the codes of rows
+routed elsewhere into its next row's code with max (Section 4.1).
 
 A many-to-one ("merging") exchange is the standard merge logic: a
 tree-of-losers priority queue maps the input streams' codes to output
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator, Sequence
 
+from repro.core.operators.filterop import filter_stream
 from repro.core.ovc import OvcSpec
 from repro.core.stats import CompareStats
 from repro.core.tree_of_losers import OvcLoserTree
@@ -30,26 +31,20 @@ def split_stream(
     stats: CompareStats | None = None,
 ) -> list[list[tuple]]:
     """Route each row to partition ``part_fn(key, payload)``; every
-    output partition is a sorted coded stream (filter rule per
-    partition). Materializes the partitions (they would be network
-    buffers in a real exchange)."""
-    parts: list[list[tuple]] = [[] for _ in range(n_parts)]
-    pending: list[int | None] = [None] * n_parts
+    output partition is the input filtered to its rows (Section 4.1), so
+    a sorted coded stream. Materializes the partitions (they would be
+    network buffers in a real exchange)."""
+    tagged = []
     for key, code, payload in stream:
         if stats is not None:
             stats.rows_in += 1
         p = part_fn(key, payload)
         if not 0 <= p < n_parts:
             raise ValueError(f"partition {p} out of range")
-        for q in range(n_parts):
-            if q == p:
-                c = code if pending[q] is None else spec.combine(code, pending[q])
-                parts[q].append((key, c, payload))
-                pending[q] = None
-            else:
-                pending[q] = code if pending[q] is None else \
-                    spec.combine(code, pending[q])
-    return parts
+        tagged.append((key, code, (p, payload)))
+    return [[(key, code, payload) for key, code, (_, payload) in
+             filter_stream(tagged, lambda k, t, q=q: t[0] == q, spec)]
+            for q in range(n_parts)]
 
 
 def merge_streams(

@@ -21,13 +21,13 @@ def filter_stream(
     stats: CompareStats | None = None,
 ) -> Iterator[tuple]:
     """Yield rows for which ``predicate(key, payload)`` holds, with
-    output OVCs derived by max-combining dropped rows' codes."""
+    output OVCs derived by folding dropped rows' codes with max."""
     pending: int | None = None
     for key, code, payload in stream:
         if stats is not None:
             stats.rows_in += 1
         if pending is not None:
-            code = spec.combine(code, pending)
+            code = max(code, pending)
         if predicate(key, payload):
             if stats is not None:
                 stats.rows_out += 1
@@ -46,8 +46,6 @@ def filter_codes_vectorized(
     Uses a running maximum over the maximal dropped gap before each kept
     row (``np.maximum.accumulate`` segmented by the kept positions).
     """
-    if spec.descending:
-        raise NotImplementedError("vectorized path implements ascending codes")
     codes = np.asarray(codes, dtype=np.int64)
     keep = np.asarray(keep, dtype=bool)
     if codes.shape != keep.shape:

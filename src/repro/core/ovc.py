@@ -1,24 +1,25 @@
-"""Offset-value coding: encode, compare-and-update, theorem combine.
+"""Offset-value coding: encode, compare-and-update, the max theorem.
 
 This is the software equivalent of IBM's CFC "compare and form codeword"
 instruction (paper Section 3).
 
-An **ascending** offset-value code of key value B relative to base key A
-(with A <= B, arity K, column domain [0, base)) packs
+The offset-value code of key value B relative to base key A (with
+A <= B, arity K, column domain [0, base)) packs
 
     code = (K - pre(A, B)) * base + val(B, pre(A, B))        if B != A
     code = 0                                                 if B == A
 
 so that, for two keys encoded relative to the *same* base, a single
-integer comparison orders them: the smaller code sorts earlier. A
-**descending** code is ``offset * base + (base - value)``; there the
-*larger* code sorts earlier (paper Table 1 shows both variants).
+integer comparison orders them: the smaller code sorts first. These
+are the paper's ascending codes, the ones every Section 4 rule is stated
+for; ``jobs/table1_ovc.py`` derives the other block of Table 1 from
+them.
 
 The fundamental results of Section 4 are implemented here:
 
-- ``combine(a, b)`` — the theorem ``ovc(A,C) = max(ovc(A,B), ovc(B,C))``
-  (ascending; ``min`` for descending), extended to any number of
-  intermediate keys by ``reduce``.
+- the theorem ``ovc(A,C) = max(ovc(A,B), ovc(B,C))``, extended to any
+  number of intermediate keys by folding: codes are plain integers, so
+  callers fold them with ``max`` and order them with ``<``.
 - ``compare_update`` — full tournament comparison: decide by codes when
   they differ (Iyer's lemma: the loser keeps its code), fall back to
   column comparisons from the offset on, and re-encode the loser
@@ -31,7 +32,7 @@ The fundamental results of Section 4 are implemented here:
   twins of the vectorized ``boundary_mask`` and ``rebase_codes``.
 
 The vectorized helpers are the one place outside ``OvcSpec`` that packs
-and unpacks ascending codes.
+and unpacks codes.
 
 Fences: ``late_fence_code`` sorts after every valid code and stands in
 for exhausted merge inputs; like F1 Query (Section 5) the fence is
@@ -40,7 +41,6 @@ folded into the same integer so no separate validity test is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -59,14 +59,11 @@ class OvcSpec:
     """Shape of a coded stream: key arity and column domain.
 
     ``arity`` is the number of sort-key columns; every column value must
-    lie in ``[0, base)``. ``descending`` selects descending codes
-    (paper Table 1, left block); ascending codes are the default and the
-    workhorse everywhere else.
+    lie in ``[0, base)``.
     """
 
     arity: int
     base: int = DEFAULT_BASE
-    descending: bool = False
 
     def __post_init__(self) -> None:
         if self.arity < 1:
@@ -79,25 +76,18 @@ class OvcSpec:
     def code(self, offset: int, value: int) -> int:
         """Pack (offset, value-at-offset) into one integer code.
 
-        ``offset == arity`` means "equal to the base key" and packs to 0
-        (ascending) or ``arity * base`` (descending).
+        ``offset == arity`` means "equal to the base key" and packs to 0.
         """
         if not 0 <= offset <= self.arity:
             raise ValueError(f"offset {offset} out of range 0..{self.arity}")
         if offset == self.arity:
-            return self.arity * self.base if self.descending else 0
+            return 0
         if not 0 <= value < self.base:
             raise ValueError(f"value {value} out of domain [0, {self.base})")
-        if self.descending:
-            # Descending codes need value >= 1 (paper domain 1..99), else
-            # offset*base + base collides with the duplicate code.
-            if value == 0:
-                raise ValueError("descending codes require column values >= 1")
-            return offset * self.base + (self.base - value)
         return (self.arity - offset) * self.base + value
 
     def boundary_code(self, prefix: int) -> int:
-        """Smallest ascending code with offset < ``prefix``: codes at or
+        """Smallest code with offset < ``prefix``: codes at or
         above it start a new group of the first ``prefix`` columns."""
         return (self.arity - prefix + 1) * self.base
 
@@ -105,8 +95,6 @@ class OvcSpec:
         """``code`` re-packed for a key of the first ``arity`` columns
         (fewer or more than ``self.arity``): offset and value stay, and
         an offset at or past ``arity`` becomes the duplicate code."""
-        if self.descending:  # the packing does not depend on the arity
-            return min(code, arity * self.base)
         shift = (self.arity - arity) * self.base
         return code - shift if code >= shift + self.base else 0
 
@@ -119,15 +107,10 @@ class OvcSpec:
 
     def offset_of(self, code: int) -> int:
         """Recover the offset (first-difference column index) from a code."""
-        if self.descending:
-            return code // self.base if code % self.base else self.arity
         return self.arity - code // self.base if code else self.arity
 
     def value_of(self, code: int) -> int:
         """Recover the value-at-offset from a code (0 for a duplicate)."""
-        if self.descending:
-            rem = code % self.base
-            return self.base - rem if rem else 0
         return code % self.base
 
     def encode_rel(self, base_key: Sequence | None, key: Sequence) -> int:
@@ -147,37 +130,15 @@ class OvcSpec:
     @property
     def late_fence_code(self) -> int:
         """A code that sorts after every valid code (exhausted input)."""
-        if self.descending:
-            return -1  # descending: larger sorts earlier, so -1 is last
         return (self.arity + 1) * self.base
 
     @property
     def duplicate_code(self) -> int:
         """The code of a key equal to its base (offset == arity)."""
-        return self.code(self.arity, 0)
+        return 0
 
     def is_duplicate(self, code: int) -> bool:
         return code == self.duplicate_code
-
-    # --- ordering / theorem -----------------------------------------
-
-    def earlier(self, code_a: int, code_b: int) -> bool:
-        """True iff, for codes relative to the same base, a sorts
-        strictly earlier than b."""
-        return code_a > code_b if self.descending else code_a < code_b
-
-    def combine(self, code_a: int, code_b: int) -> int:
-        """The Section 4 theorem: ovc(A,C) from ovc(A,B) and ovc(B,C).
-
-        Ascending: max; descending: min. Extended to any number of
-        intermediate keys by folding (Section 4 lemma).
-        """
-        return min(code_a, code_b) if self.descending else max(code_a, code_b)
-
-    def combine_many(self, codes: Sequence[int]) -> int:
-        if not codes:
-            raise ValueError("combine_many needs at least one code")
-        return reduce(self.combine, codes)
 
 
 def compare_update(
@@ -204,7 +165,7 @@ def compare_update(
             stats.code_decided += 1
         # Iyer's lemma: the code that lost relative to the old base is
         # also the loser's code relative to the new winner.
-        if spec.earlier(code_a, code_b):
+        if code_a < code_b:
             return True, code_b
         return False, code_a
     # Equal codes. Fences compare equal only to fences -> arbitrary win.
@@ -258,7 +219,7 @@ def compare_full(
 def encode_sorted_array(
     keys: np.ndarray, spec: OvcSpec, prev_key: Sequence | None = None
 ) -> np.ndarray:
-    """Vectorized ascending OVC for a block of sorted keys.
+    """Vectorized OVC for a block of sorted keys.
 
     ``keys`` is an (n, arity) int array sorted lexicographically
     ascending. Each row is encoded relative to its predecessor; the
@@ -325,17 +286,15 @@ def _first_diff_codes(diff: np.ndarray, keys: np.ndarray, spec: OvcSpec
 
 def pack_codes(offsets: np.ndarray, values: np.ndarray,
                spec: OvcSpec) -> np.ndarray:
-    """Vectorized ascending codes from offsets and values at the offset;
-    an offset equal to the arity packs to the duplicate code 0."""
-    if spec.descending:
-        raise NotImplementedError("vectorized path implements ascending codes")
+    """Vectorized codes from offsets and values at the offset; an offset
+    equal to the arity packs to the duplicate code 0."""
     offsets = np.asarray(offsets, dtype=np.int64)
     return np.where(offsets < spec.arity, (spec.arity - offsets) * spec.base
                     + values, 0).astype(np.int64)
 
 
 def decode_offsets(codes: np.ndarray, spec: OvcSpec) -> np.ndarray:
-    """Vectorized offset extraction from ascending codes."""
+    """Vectorized offset extraction from codes."""
     codes = np.asarray(codes, dtype=np.int64)
     return np.where(codes > 0, spec.arity - codes // spec.base, spec.arity)
 
@@ -351,8 +310,8 @@ def rebase_codes(codes: np.ndarray, spec: OvcSpec, arity: int) -> np.ndarray:
 
 def boundary_mask(codes: np.ndarray, spec: OvcSpec, prefix: int) -> np.ndarray:
     """Vectorized Section 4.5 test: row starts a new group of the first
-    ``prefix`` key columns iff its offset < prefix, i.e. its ascending
-    code is at least ``spec.boundary_code(prefix)`` — one integer
+    ``prefix`` key columns iff its offset < prefix, i.e. its code is
+    at least ``spec.boundary_code(prefix)`` — one integer
     compare per row."""
     return np.asarray(codes, dtype=np.int64) >= spec.boundary_code(prefix)
 
@@ -365,8 +324,6 @@ def coded_groups(stream: Iterable, spec: OvcSpec, prefix: int
     ``spec.boundary_code(prefix)``. The first row always starts one."""
     if not 1 <= prefix <= spec.arity:
         raise ValueError(f"prefix must be in 1..{spec.arity}")
-    if spec.descending:
-        raise NotImplementedError("group cutting implements ascending codes")
     thresh = spec.boundary_code(prefix)
     group: list = []
     for row in stream:

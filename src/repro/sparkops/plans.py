@@ -28,6 +28,7 @@ from repro.core.ovc import OvcSpec, boundary_mask, encode_sorted_array
 from repro.core.stats import CompareStats
 from repro.hashexec.hash_agg import hash_distinct
 from repro.hashexec.hash_join import hash_join
+from repro.hashexec.spill import grace_fanout
 
 
 @dataclass
@@ -286,8 +287,7 @@ def hash_intersect_plan_vec(
             stats.hash_ops += len(arr)
             stats.col_accesses += len(arr)
             return pd.unique(arr)
-        n_parts = -(-len(arr) // memory_rows)
-        paths = hash_parts(arr, n_parts, tag)
+        paths = hash_parts(arr, grace_fanout(memory_rows, len(arr)), tag)
         outs = []
         for p in paths:
             outs.append(pd.unique(_read_vec_run(p)))
@@ -301,7 +301,7 @@ def hash_intersect_plan_vec(
         stats.hash_ops += len(d1) + len(d2)
         stats.col_accesses += len(d1) + len(d2)
     else:
-        n_parts = -(-max(len(d1), len(d2)) // memory_rows)
+        n_parts = grace_fanout(memory_rows, max(len(d1), len(d2)))
         p1 = hash_parts(d1, n_parts, "j1")
         p2 = hash_parts(d2, n_parts, "j2")
         n_out = 0

@@ -147,11 +147,6 @@ class TestDedup:
     def test_empty(self):
         assert list(dedup_stream([], SPEC2)) == []
 
-    def test_rejects_descending_codes(self):
-        spec = OvcSpec(2, 100, descending=True)
-        with pytest.raises(NotImplementedError):
-            list(dedup_stream(coded([(1, 1), (1, 1)], spec), spec))
-
 
 class TestGrouping:
     @staticmethod

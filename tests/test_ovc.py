@@ -41,7 +41,7 @@ class TestPacking:
 
     def test_late_fence_sorts_after_all_valid_codes(self):
         worst = SPEC.code(0, 99)
-        assert SPEC.earlier(worst, SPEC.late_fence_code)
+        assert worst < SPEC.late_fence_code
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -55,13 +55,13 @@ class TestOrdering:
         # Section 3: higher offset (longer shared prefix) = earlier.
         later = SPEC.code(0, 5)   # differs at col 0
         earlier = SPEC.code(2, 5)  # differs at col 2
-        assert SPEC.earlier(earlier, later)
+        assert earlier < later
 
     def test_same_offset_smaller_value_earlier(self):
-        assert SPEC.earlier(SPEC.code(1, 3), SPEC.code(1, 4))
+        assert SPEC.code(1, 3) < SPEC.code(1, 4)
 
     def test_duplicate_sorts_earliest(self):
-        assert SPEC.earlier(0, SPEC.code(3, 1))
+        assert 0 < SPEC.code(3, 1)
 
 
 class TestTheorem:
@@ -78,43 +78,13 @@ class TestTheorem:
             ab = spec.encode_rel(a, b)
             bc = spec.encode_rel(b, c)
             ac = spec.encode_rel(a, c)
-            assert ac == spec.combine(ab, bc), (a, b, c)
+            assert ac == max(ab, bc), (a, b, c)
 
     def test_combine_many_matches_fold(self):
         spec = OvcSpec(arity=2, base=10)
         keys = [(0, 1), (0, 3), (1, 2), (1, 2), (1, 5)]
         codes = [spec.encode_rel(keys[i], keys[i + 1]) for i in range(4)]
-        assert spec.combine_many(codes) == spec.encode_rel(keys[0], keys[4])
-
-    def test_combine_many_empty_raises(self):
-        with pytest.raises(ValueError):
-            SPEC.combine_many([])
-
-
-class TestDescending:
-    DSPEC = OvcSpec(arity=4, base=100, descending=True)
-
-    def test_paper_table1_codes(self):
-        # Table 1, descending block: offset and "domain - value".
-        rows = [(5, 7, 3, 9), (5, 7, 3, 12), (5, 8, 4, 6), (5, 9, 2, 7),
-                (5, 9, 2, 7), (5, 9, 3, 4), (5, 9, 3, 7)]
-        expect = [95, 388, 192, 191, 400, 297, 393]
-        got = [self.DSPEC.encode_rel(None if i == 0 else rows[i - 1], rows[i])
-               for i in range(len(rows))]
-        assert got == expect
-
-    def test_descending_theorem_uses_min(self):
-        spec = OvcSpec(arity=2, base=10, descending=True)
-        a, b, c = (1, 2), (1, 5), (3, 0)
-        assert spec.encode_rel(a, c) == spec.combine(
-            spec.encode_rel(a, b), spec.encode_rel(b, c)
-        )
-
-    def test_descending_ordering(self):
-        # larger descending code sorts earlier
-        spec = self.DSPEC
-        assert spec.earlier(spec.code(3, 4), spec.code(2, 4))
-        assert spec.earlier(spec.late_fence_code, spec.code(0, 99)) is False
+        assert max(codes) == spec.encode_rel(keys[0], keys[4])
 
 
 class TestCompareUpdate:
@@ -272,8 +242,3 @@ class TestMergeCodedRuns:
         assert codes.tolist() == [20, 12, 0, 25]
         assert (stats.row_cmps, stats.code_decided,
                 stats.col_cmps) == (3, 2, 1)
-
-    def test_rejects_descending(self):
-        spec = OvcSpec(1, 10, descending=True)
-        with pytest.raises(NotImplementedError):
-            merge_coded_runs([np.array([[1]])], [np.array([9])], spec)

