@@ -47,7 +47,7 @@ def table2() -> list[tuple]:
     ]
     return [
         (k, spec.arity - spec.offset_of(c), spec.value_of(c), c)
-        for k, c, _ in filter_stream(stream, lambda k, p: p in (0, 6), spec)
+        for k, c, _ in filter_stream(stream, lambda k, p: p in (0, 6))
     ]
 
 

@@ -9,10 +9,10 @@ length to 2M; see DESIGN.md for why this substitution is immaterial.)
 
 Whether the input spills is the one rule of ``core.runs.memory_loads``:
 if the input fits in one memory load, its sorted run is yielded directly
-without spilling; otherwise every load goes to disk as one run and a
-final multiway merge (again a tree-of-losers queue, consuming the stored
-codes) produces the output — so each input row is spilled exactly once,
-the property Figure 3 relies on.
+without spilling; otherwise every load goes to disk as one columnar run
+(``core.runs``) and a final multiway merge (again a tree-of-losers
+queue, consuming the codes the runs give back) produces the output — so
+each input row is spilled exactly once, the property Figure 3 relies on.
 
 ``dedup=True`` enables in-sort duplicate removal [10]: duplicates are
 collapsed (with a count payload) both during run generation and during
@@ -30,9 +30,10 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.core.operators.dedup import dedup_stream
 from repro.core.ovc import OvcSpec, compare_update
-from repro.core.runs import RunFile, memory_loads, write_run
+from repro.core.runs import memory_loads, run_rows, write_run
 from repro.core.stats import CompareStats
 from repro.core.tree_of_losers import OvcLoserTree
+from repro.storage.columnar import ColumnarRun
 
 
 def sort_in_memory(
@@ -67,7 +68,7 @@ def generate_runs(
     dedup: bool = False,
     tag: str = "run",
     compare: Callable = compare_update,
-) -> tuple[list[RunFile], Iterator[tuple] | None]:
+) -> tuple[list[ColumnarRun], Iterator[tuple] | None]:
     """Run generation. ``rows`` yields ``(key, payload)``.
 
     Returns ``(run_files, in_memory_stream)``: if the whole input fits in
@@ -92,16 +93,17 @@ def generate_runs(
 
 
 def merge_runs(
-    runs: Sequence[RunFile],
+    runs: Sequence[ColumnarRun],
     spec: OvcSpec,
     stats: CompareStats | None = None,
     dedup: bool = False,
     compare: Callable = compare_update,
 ) -> Iterator[tuple]:
     """Multiway merge of spilled runs via a tree-of-losers queue,
-    consuming the stored OVCs and producing output OVCs."""
+    consuming the runs' OVCs and producing output OVCs."""
     _check_dedup(dedup, compare)
-    merged = iter(OvcLoserTree(list(runs), spec, stats, compare))
+    merged = iter(OvcLoserTree([run_rows(r) for r in runs], spec, stats,
+                               compare))
     # Rows read back from deduplicated runs carry counts: sum them.
     return dedup_stream(merged, spec, payload=lambda group: sum(
         map(itemgetter(2), group))) if dedup else merged

@@ -27,7 +27,6 @@ def split_stream(
     stream: Iterable,
     part_fn: Callable,
     n_parts: int,
-    spec: OvcSpec,
     stats: CompareStats | None = None,
 ) -> list[list[tuple]]:
     """Route each row to partition ``part_fn(key, payload)``; every
@@ -43,7 +42,7 @@ def split_stream(
             raise ValueError(f"partition {p} out of range")
         tagged.append((key, code, (p, payload)))
     return [[(key, code, payload) for key, code, (_, payload) in
-             filter_stream(tagged, lambda k, t, q=q: t[0] == q, spec)]
+             filter_stream(tagged, lambda k, t, q=q: t[0] == q)]
             for q in range(n_parts)]
 
 
@@ -69,7 +68,7 @@ def repartition(
     pieces received from every input — each output partition is again a
     sorted coded stream."""
     pieces: list[list[list[tuple]]] = [
-        split_stream(s, part_fn, n_out, spec, stats) for s in streams
+        split_stream(s, part_fn, n_out, stats) for s in streams
     ]
     return [
         merge_streams([pieces[i][q] for i in range(len(streams))], spec, stats)

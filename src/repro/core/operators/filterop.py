@@ -10,14 +10,12 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from repro.core.ovc import OvcSpec
 from repro.core.stats import CompareStats
 
 
 def filter_stream(
     stream: Iterable,
     predicate: Callable,
-    spec: OvcSpec,
     stats: CompareStats | None = None,
 ) -> Iterator[tuple]:
     """Yield rows for which ``predicate(key, payload)`` holds, with
@@ -37,9 +35,8 @@ def filter_stream(
             pending = code
 
 
-def filter_codes_vectorized(
-    codes: np.ndarray, keep: np.ndarray, spec: OvcSpec
-) -> np.ndarray:
+def filter_codes_vectorized(codes: np.ndarray, keep: np.ndarray
+                            ) -> np.ndarray:
     """Vectorized variant for columnar batches: given all input codes
     and a boolean keep-mask, return the codes of the kept rows.
 

@@ -89,8 +89,7 @@ def merge_join(
                 (rp if tag else lp).append(p)
             yield group[0][0], group[0][1], _join_rows(lp, rp, join_type)
 
-    for key, code, emit in filter_stream(
-            key_groups(), lambda _, rows: rows, spec):
+    for key, code, emit in filter_stream(key_groups(), lambda _, rows: rows):
         if stats is not None:
             stats.rows_out += len(emit)
         yield key, code, emit[0]

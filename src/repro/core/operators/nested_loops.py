@@ -79,8 +79,7 @@ def lookup_join(
             yield okey, spec_outer.recode(code, width), \
                 rows(group, list(lookup(okey, payload)))
 
-    for _, code, out in filter_stream(
-            key_groups(), lambda _, out: out, out_spec):
+    for _, code, out in filter_stream(key_groups(), lambda _, out: out):
         if stats is not None:
             stats.rows_out += len(out)
         key, _, payload = out[0]

@@ -16,7 +16,8 @@ from typing import Callable, Iterable, Iterator
 
 from repro.core.runs import memory_loads
 from repro.core.stats import CompareStats
-from repro.hashexec.spill import grace_fanout, partition_to_disk
+from repro.hashexec.spill import (consume_partition, grace_fanout,
+                                  partition_to_disk)
 
 
 def _agg_in_memory(rows: Iterable[tuple], agg: Callable, init: Callable,
@@ -62,9 +63,8 @@ def hash_aggregate(
     for part in partition_to_disk(rows, arity,
                                   grace_fanout(memory_rows, n_input_hint),
                                   tmpdir, tag, stats):
-        yield from _agg_in_memory(((k, p) for k, _, p in part),
-                                  agg, init, arity, stats).items()
-        part.delete()
+        yield from _agg_in_memory(consume_partition(part), agg, init, arity,
+                                  stats).items()
 
 
 def hash_distinct(

@@ -13,7 +13,8 @@ from typing import Iterable, Iterator
 
 from repro.core.runs import memory_loads
 from repro.core.stats import CompareStats
-from repro.hashexec.spill import grace_fanout, partition_to_disk
+from repro.hashexec.spill import (consume_partition, grace_fanout,
+                                  partition_to_disk)
 
 
 def _join_in_memory(build: Iterable[tuple], probe: Iterable[tuple],
@@ -56,7 +57,5 @@ def hash_join(
     p_parts = partition_to_disk(probe, arity, n_parts, tmpdir, f"{tag}-p",
                                 stats)
     for bp, pp in zip(b_parts, p_parts):
-        yield from _join_in_memory(((k, p) for k, _, p in bp),
-                                   ((k, p) for k, _, p in pp), arity, stats)
-        bp.delete()
-        pp.delete()
+        yield from _join_in_memory(consume_partition(bp),
+                                   consume_partition(pp), arity, stats)

@@ -40,12 +40,14 @@ def instream_aggregate(
     spec = OvcSpec(len(keys))
     if not 1 <= group_cols <= len(keys):
         raise ValueError("group_cols out of range")
+    gcols = keys[:group_cols]
     for out_col, (src, how) in aggs.items():
+        if out_col in gcols + [OVC_COL]:
+            raise ValueError(f"aggregate {out_col!r} names an output column")
         if how not in _AGGS:
             raise ValueError(f"unsupported aggregate {how!r}")
         if how != "count" and src == "*":
             raise ValueError("column required for non-count aggregates")
-    gcols = keys[:group_cols]
     fields = [StructField(c, LongType()) for c in gcols]
     fields += [StructField(c, LongType()) for c in aggs]
     fields.append(StructField(OVC_COL, LongType(), False))

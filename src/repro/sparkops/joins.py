@@ -38,7 +38,8 @@ from pyspark.sql.types import LongType, StructField, StructType
 from repro.core.operators.filterop import filter_codes_vectorized
 from repro.core.operators.merge_join import JoinType
 from repro.core.ovc import OvcSpec, boundary_mask, encode_sorted_array
-from repro.sparkops.ovc_column import (OVC_COL, key_array, map_in_pandas,
+from repro.sparkops.ovc_column import (OVC_COL, check_integral_keys,
+                                       key_array, map_in_pandas,
                                        whole_partition)
 
 _TAG = "_side"
@@ -76,7 +77,7 @@ def merge_kernel(
     if distinct:  # a group's left rows sort first: keep its first row
         keep &= starts
     # The filter rule turns the merged codes into the kept rows' codes.
-    first_codes = filter_codes_vectorized(merged_codes, keep, spec)
+    first_codes = filter_codes_vectorized(merged_codes, keep)
     kept = np.flatnonzero(keep)
     kgid = gid[kept]
     if join_type in (JoinType.LEFT_SEMI, JoinType.LEFT_ANTI):
@@ -111,8 +112,8 @@ def merge_join_ovc(
     codes are derived by the kernel. Each output partition is a sorted
     coded stream of whole key groups; there is no total order across
     partitions.
-    Key values must be non-null and in ``[0, 2**32)``; the executors
-    raise ``ValueError`` otherwise.
+    Key columns that are not integral raise ``ValueError`` here; the
+    executors raise it on a null key or one outside ``[0, 2**32)``.
     """
     return _merge_join(left, right, list(on), JoinType(how), num_partitions,
                        distinct=False)
@@ -124,6 +125,7 @@ def _merge_join(left: DataFrame, right: DataFrame, on: list[str],
     spec = OvcSpec(len(on))
     if _TAG in left.columns or _TAG in right.columns:
         raise ValueError(f"reserved column name: {_TAG!r}")
+    check_integral_keys(on, left, right)
     lcols = [c for c in left.columns if c not in on and c != OVC_COL]
     rcols = [c for c in right.columns if c not in on and c != OVC_COL]
     overlap = set(lcols) & set(rcols)

@@ -16,7 +16,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql.types import LongType, StructField, StructType
+from pyspark.sql.types import IntegralType, LongType, StructField, StructType
 
 from repro.core.ovc import OvcSpec, encode_sorted_array
 from repro.executor import evict_zip_importers
@@ -34,6 +34,18 @@ def key_array(pdf: pd.DataFrame, keys: Sequence[str]) -> np.ndarray:
     if cols.isna().to_numpy().any():
         raise ValueError(f"null value in key columns {list(keys)}")
     return cols.to_numpy(dtype=np.int64)
+
+
+def check_integral_keys(keys: Sequence[str], *dfs: DataFrame) -> None:
+    """Raise ``ValueError`` from the schemas alone, before any job, unless
+    every key column of each of ``dfs`` is integral: ``key_array``'s
+    int64 cast would truncate a fractional key with no error (1.2 would
+    equal 1.7)."""
+    for df in dfs:
+        types = {f.name: f.dataType for f in df.schema.fields}
+        bad = [k for k in keys if not isinstance(types.get(k), IntegralType)]
+        if bad:
+            raise ValueError(f"key columns {bad} are missing or not integral")
 
 
 def whole_partition(batches: Iterator[pd.DataFrame]) -> pd.DataFrame:
@@ -68,8 +80,9 @@ def attach_ovc(
     ``partition_on`` (default: all of ``keys``) chooses the range-
     partitioning prefix; pass the group-by prefix when a downstream
     in-stream aggregation must see whole groups inside one partition.
-    All key columns must be integral, non-null and in ``[0, 2**32)``;
-    the executors raise ``ValueError`` otherwise.
+    Key columns that are not integral, and a ``df`` that already has an
+    ``_ovc`` column, raise ``ValueError`` here; the executors raise it
+    on a null key or one outside ``[0, 2**32)``.
     """
     keys = list(keys)
     partition_on = list(partition_on) if partition_on else keys
@@ -78,6 +91,9 @@ def attach_ovc(
     if not set(partition_on) <= set(keys) or \
             partition_on != keys[: len(partition_on)]:
         raise ValueError("partition_on must be a prefix of keys")
+    if OVC_COL in df.columns:
+        raise ValueError(f"input already has a {OVC_COL!r} column")
+    check_integral_keys(keys, df)
     spec = OvcSpec(len(keys))
     parts = num_partitions or df.sparkSession.conf.get(
         "spark.sql.shuffle.partitions"

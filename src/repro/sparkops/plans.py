@@ -16,6 +16,7 @@ are the driver-side equivalents, built from the core substrates:
 """
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 
@@ -28,7 +29,7 @@ from repro.core.ovc import OvcSpec, boundary_mask, encode_sorted_array
 from repro.core.stats import CompareStats
 from repro.hashexec.hash_agg import hash_distinct
 from repro.hashexec.hash_join import hash_join
-from repro.hashexec.spill import grace_fanout
+from repro.hashexec.spill import consume_spill, grace_fanout, write_spill
 
 
 @dataclass
@@ -173,27 +174,6 @@ def hash_intersect_plan(
 
 # ------------------------------------------------- Figure 3, vectorized
 
-def _write_vec_run(path: str, arr: np.ndarray,
-                   stats: CompareStats | None) -> None:
-    import pyarrow as pa
-    import pyarrow.ipc as ipc
-
-    table = pa.table({"k": pa.array(arr, type=pa.int64())})
-    with pa.OSFile(path, "wb") as sink:
-        with ipc.new_file(sink, table.schema) as w:
-            w.write_table(table)
-    if stats is not None:
-        stats.rows_spilled += len(arr)
-
-
-def _read_vec_run(path: str) -> np.ndarray:
-    import pyarrow as pa
-    import pyarrow.ipc as ipc
-
-    with pa.OSFile(path, "rb") as f:
-        return ipc.open_file(f).read_all()["k"].to_numpy()
-
-
 def _dedup_mask(sorted_arr: np.ndarray) -> np.ndarray:
     """Keep-mask over a sorted array: drop rows equal to their
     predecessor — the vectorized form of the duplicate-code test."""
@@ -214,8 +194,6 @@ def sort_intersect_plan_vec(
     runs = the R-way merge, performed by compiled code), and a
     vectorized sorted-intersect as the merge join. Spills each input
     row at most once, exactly like the row-wise plan."""
-    import os
-
     os.makedirs(tmpdir, exist_ok=True)
     stats = CompareStats()
     t0 = time.perf_counter()
@@ -229,13 +207,10 @@ def sort_intersect_plan_vec(
             s = np.sort(arr[lo: lo + memory_rows])
             run = s[_dedup_mask(s)]  # in-sort early duplicate removal
             p = f"{tmpdir}/{tag}-{i}.arrow"
-            _write_vec_run(p, run, stats)
+            write_spill(p, {"k": run}, stats)
             paths.append(p)
-        merged = np.sort(
-            np.concatenate([_read_vec_run(p) for p in paths]), kind="stable"
-        )
-        for p in paths:
-            os.remove(p)
+        merged = np.sort(np.concatenate([consume_spill(p)[0] for p in paths]),
+                         kind="stable")
         return merged[_dedup_mask(merged)]
 
     d1 = dedup_sort(np.asarray(t1_keys, dtype=np.int64), "s1")
@@ -257,8 +232,6 @@ def hash_intersect_plan_vec(
     each duplicate removal (spilling every input row), then the hash
     join Grace-partitions both deduplicated inputs again (second spill
     pass) and probes with a compiled hash table (pandas isin)."""
-    import os
-
     import pandas as pd
 
     os.makedirs(tmpdir, exist_ok=True)
@@ -275,12 +248,9 @@ def hash_intersect_plan_vec(
         arr_sorted = arr[order]
         counts = np.bincount(h.astype(np.int64), minlength=n_parts)
         bounds = np.concatenate(([0], np.cumsum(counts)))
-        paths = []
-        for p in range(n_parts):
-            path = f"{tmpdir}/{tag}-{p}.arrow"
-            _write_vec_run(path, arr_sorted[bounds[p]: bounds[p + 1]], stats)
-            paths.append(path)
-        return paths
+        return [write_spill(f"{tmpdir}/{tag}-{p}.arrow",
+                            {"k": arr_sorted[bounds[p]: bounds[p + 1]]}, stats)
+                for p in range(n_parts)]
 
     def dedup_hash(arr: np.ndarray, tag: str) -> np.ndarray:
         if len(arr) <= memory_rows:
@@ -288,11 +258,8 @@ def hash_intersect_plan_vec(
             stats.col_accesses += len(arr)
             return pd.unique(arr)
         paths = hash_parts(arr, grace_fanout(memory_rows, len(arr)), tag)
-        outs = []
-        for p in paths:
-            outs.append(pd.unique(_read_vec_run(p)))
-            os.remove(p)
-        return np.concatenate(outs)
+        return np.concatenate([pd.unique(consume_spill(p)[0])
+                               for p in paths])
 
     d1 = dedup_hash(np.asarray(t1_keys, dtype=np.int64), "h1")
     d2 = dedup_hash(np.asarray(t2_keys, dtype=np.int64), "h2")
@@ -306,11 +273,9 @@ def hash_intersect_plan_vec(
         p2 = hash_parts(d2, n_parts, "j2")
         n_out = 0
         for a, b in zip(p1, p2):
-            n_out += int(pd.Series(_read_vec_run(b))
-                         .isin(_read_vec_run(a)).sum())
+            n_out += int(pd.Series(consume_spill(b)[0])
+                         .isin(consume_spill(a)[0]).sum())
             stats.hash_ops += 1
-            os.remove(a)
-            os.remove(b)
     t1 = time.perf_counter()
     stats.rows_in = len(t1_keys) + len(t2_keys)
     stats.rows_out = n_out

@@ -1,10 +1,9 @@
-"""Sorted RLE columnar run format over the local filesystem.
+"""The one sorted-run file: LSM forest runs and external-sort spills.
 
 A run stores K sort-key columns (int64, sorted lexicographically) with
-run-length encoding per column plus an arbitrary number of int64
-payload columns stored flat. For sorted data the leading columns
-compress massively — and, crucially (Section 4.10), the RLE run starts
-double as OVC metadata:
+run-length encoding per column plus int64 payload columns stored flat.
+For sorted data the leading columns compress massively, and (Section
+4.10) the RLE run starts double as OVC metadata:
 
     the offset of row i is the smallest column index whose RLE run
     starts at i (no such column: duplicate row, offset = K), and the
@@ -14,7 +13,9 @@ So a scan reproduces, row by row, the offset-value codes that the sort
 which created the run had computed — "practically for free", with zero
 column value comparisons. ``scan_with_ovc`` returns those codes as
 arrays, which ``core.ovc.merge_coded_runs`` consumes when an LSM forest
-merges its runs. ``ColumnarRun`` is the one reader of run metadata.
+merges its runs, and ``core.runs.run_rows`` when an external sort
+merges its spilled runs. ``ColumnarRun`` is the one reader of run
+metadata for both.
 
 File layout: one Arrow IPC file holding a single record batch. Key
 column ``k{i}`` is an Arrow ``run_end_encoded`` array, so only its run

@@ -1,5 +1,7 @@
 """Tests for run files, run generation, and external merge sort."""
 import numpy as np
+import pyarrow as pa
+import pyarrow.ipc as ipc
 import pytest
 
 from repro.core.external_sort import (
@@ -9,8 +11,9 @@ from repro.core.external_sort import (
     sort_in_memory,
 )
 from repro.core.ovc import OvcSpec, compare_full
-from repro.core.runs import RunFile, memory_loads, write_run
+from repro.core.runs import memory_loads, run_rows, write_run
 from repro.core.stats import CompareStats
+from repro.storage.columnar import ColumnarRun
 
 SPEC = OvcSpec(arity=3, base=100)
 
@@ -34,15 +37,15 @@ class TestRunFiles:
         rows = [((1, 2, 3), SPEC.prime((1, 2, 3)), 7),
                 ((1, 2, 5), SPEC.code(2, 5), None)]
         rf = write_run(str(tmp_path / "r.arrow"), rows, SPEC)
-        assert rf.rows == 2
-        assert list(rf) == rows
+        assert rf.n_rows == 2
+        assert list(run_rows(rf)) == rows
 
     def test_reopen_counts_rows(self, tmp_path):
         rows = [((i, 0, 0), 0 if i else SPEC.prime((0, 0, 0)), None)
                 for i in range(10)]
         path = str(tmp_path / "r.arrow")
         write_run(path, rows, SPEC)
-        assert RunFile(path, SPEC).rows == 10
+        assert ColumnarRun(path).n_rows == 10
 
     def test_spill_accounting(self, tmp_path):
         stats = CompareStats()
@@ -57,6 +60,18 @@ class TestRunFiles:
         rf = write_run(path, [((1, 1, 1), SPEC.prime((1, 1, 1)), None)], SPEC)
         rf.delete()
         assert not os.path.exists(path)
+
+    def test_spilled_sort_run_is_a_columnar_run(self, tmp_path):
+        rng = np.random.default_rng(6)
+        runs, _ = generate_runs(iter(random_rows(rng, 30)), SPEC, 10,
+                                str(tmp_path))
+        assert len(runs) == 3
+        for r in runs:
+            reopened = ColumnarRun(r.path)
+            assert (reopened.n_rows, reopened.spec) == (10, SPEC)
+            with pa.OSFile(r.path, "rb") as f:
+                names = ipc.open_file(f).schema.names
+            assert "_ovc" not in names and "_payload" not in names
 
 
 class TestSortInMemory:
@@ -130,14 +145,14 @@ class TestGenerateRuns:
         assert in_mem is None
         assert len(runs) == 3
         assert stats.rows_spilled == 250  # the Figure 3 invariant
-        assert sum(r.rows for r in runs) == 250
+        assert sum(r.n_rows for r in runs) == 250
 
     def test_runs_are_sorted_with_valid_codes(self, tmp_path):
         rng = np.random.default_rng(5)
         rows = random_rows(rng, 230)
         runs, _ = generate_runs(iter(rows), SPEC, 64, str(tmp_path))
         for r in runs:
-            rows_r = list(r)
+            rows_r = list(run_rows(r))
             keys = [k for k, _, _ in rows_r]
             assert keys == sorted(keys)
             assert [c for _, c, _ in rows_r] == bruteforce_codes(keys, SPEC)
@@ -194,7 +209,9 @@ class TestExternalSort:
                                   SPEC))
             all_rows += keys
         out = list(merge_runs(runs, SPEC))
-        assert [k for k, _, _ in out] == sorted(all_rows)
+        keys = [k for k, _, _ in out]
+        assert keys == sorted(all_rows)
+        assert [c for _, c, _ in out] == bruteforce_codes(keys, SPEC)
 
 
 def plain_sort(rows, mem, tmpdir, stats=None, arity=3):

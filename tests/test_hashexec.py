@@ -1,13 +1,16 @@
 """Tests for the hash-based baselines (spill, hash agg, hash join)."""
+import os
 from collections import Counter
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.ipc as ipc
 import pytest
 
 from repro.core.stats import CompareStats
 from repro.hashexec.hash_agg import hash_aggregate, hash_distinct
 from repro.hashexec.hash_join import hash_join
-from repro.hashexec.spill import partition_to_disk
+from repro.hashexec.spill import consume_partition, partition_to_disk
 from repro.sparkops.plans import hash_intersect_plan
 
 
@@ -26,19 +29,39 @@ class TestSpill:
         parts = partition_to_disk(iter(rows), 2, 4, str(tmp_path), "t", stats)
         assert stats.rows_spilled == 123
         assert stats.hash_ops == 123 and stats.col_accesses == 246
-        got = [r for p in parts for r in p]
-        # run files of repro.core.runs, with code 0
-        assert sorted((k, pay) for k, _, pay in got) == sorted(rows)
-        assert {c for _, c, _ in got} == {0}
+        got = [list(consume_partition(p)) for p in parts]
+        assert sorted(r for part in got for r in part) == sorted(rows)
         # each partition holds only keys hashing to it
-        for q, p in enumerate(parts):
-            for key, _, _ in p:
-                assert hash(key) % 4 == q
+        for q, part in enumerate(got):
+            assert all(hash(key) % 4 == q for key, _ in part)
+        # a partition is read once
+        assert not any(os.path.exists(p) for p in parts)
+
+    def test_flat_columns_without_code(self, tmp_path):
+        parts = partition_to_disk(iter([((1, 2), 5)]), 2, 2,
+                                  str(tmp_path), "t")
+        for p in parts:
+            with pa.OSFile(p, "rb") as f:
+                assert ipc.open_file(f).schema.names == ["k0", "k1", "p"]
 
     def test_none_payload_roundtrip(self, tmp_path):
         parts = partition_to_disk(iter([((1, 2), None)]), 2, 2,
                                   str(tmp_path), "t")
-        assert [r for p in parts for r in p] == [((1, 2), 0, None)]
+        assert [r for p in parts for r in consume_partition(p)] == \
+            [((1, 2), None)]
+
+    def test_flushes_in_bounded_batches(self, tmp_path, monkeypatch):
+        import repro.hashexec.spill as spill
+
+        monkeypatch.setattr(spill, "_BATCH", 4)
+        rows = [((i,), i) for i in range(10)]
+        (path,) = partition_to_disk(iter(rows), 1, 1, str(tmp_path), "t")
+        with pa.OSFile(path, "rb") as f:
+            reader = ipc.open_file(f)
+            sizes = [reader.get_batch(i).num_rows
+                     for i in range(reader.num_record_batches)]
+        assert sizes == [4, 4, 2]
+        assert list(consume_partition(path)) == rows
 
 
 class TestHashAggregate:

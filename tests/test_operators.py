@@ -45,7 +45,7 @@ class TestFilter:
                 (5, 9, 2, 7), (5, 9, 3, 4), (5, 9, 3, 7)]
         keep = {0, 6}
         stream = coded(rows, SPEC4, payloads=list(range(7)))
-        out = list(filter_stream(stream, lambda k, p: p in keep, SPEC4))
+        out = list(filter_stream(stream, lambda k, p: p in keep))
         assert [(k, c) for k, c, _ in out] == [
             ((5, 7, 3, 9), 405), ((5, 9, 3, 7), 309)
         ]
@@ -57,24 +57,24 @@ class TestFilter:
         spec = OvcSpec(3, 100)
         mask = rng.random(300) < 0.3
         stream = coded(keys, spec, payloads=list(range(300)))
-        out = list(filter_stream(stream, lambda k, p: mask[p], spec))
+        out = list(filter_stream(stream, lambda k, p: mask[p]))
         assert [k for k, _, _ in out] == [k for i, k in enumerate(keys) if mask[i]]
         assert_valid_coded_stream(out, spec)
 
     def test_empty_output(self):
         stream = coded([(1, 1), (2, 2)], SPEC2)
-        assert list(filter_stream(stream, lambda k, p: False, SPEC2)) == []
+        assert list(filter_stream(stream, lambda k, p: False)) == []
 
     def test_keep_all_codes_unchanged(self):
         keys = [(1, 1), (1, 2), (3, 0)]
         stream = coded(keys, SPEC2)
-        out = list(filter_stream(stream, lambda k, p: True, SPEC2))
+        out = list(filter_stream(stream, lambda k, p: True))
         assert out == stream
 
     def test_stats_counts(self):
         stream = coded([(1, 1), (2, 2), (3, 3)], SPEC2)
         stats = CompareStats()
-        list(filter_stream(stream, lambda k, p: k[0] != 2, SPEC2, stats))
+        list(filter_stream(stream, lambda k, p: k[0] != 2, stats))
         assert stats.rows_in == 3 and stats.rows_out == 2
 
     @pytest.mark.parametrize("seed", range(6))
@@ -86,17 +86,16 @@ class TestFilter:
         keep = rng.random(200) < 0.4
         stream = coded(keys, spec, payloads=list(range(200)))
         expect = [c for _, c, _ in filter_stream(
-            stream, lambda k, p: keep[p], spec)]
-        got = filter_codes_vectorized(codes, keep, spec).tolist()
+            stream, lambda k, p: keep[p])]
+        got = filter_codes_vectorized(codes, keep).tolist()
         assert got == expect
 
     def test_vectorized_empty_cases(self):
-        spec = OvcSpec(2, 10)
         assert filter_codes_vectorized(
-            np.array([], dtype=np.int64), np.array([], dtype=bool), spec
+            np.array([], dtype=np.int64), np.array([], dtype=bool)
         ).tolist() == []
         assert filter_codes_vectorized(
-            np.array([5, 7]), np.array([False, False]), spec
+            np.array([5, 7]), np.array([False, False])
         ).tolist() == []
 
 
@@ -427,7 +426,7 @@ class TestExchange:
         keys = random_sorted_keys(rng, 200, 3, 4)
         spec = OvcSpec(3, 100)
         parts = split_stream(coded(keys, spec), lambda k, p: hash(k) % n_parts,
-                             n_parts, spec)
+                             n_parts)
         assert sum(len(p) for p in parts) == 200
         for p in parts:
             assert_valid_coded_stream(p, spec)
@@ -437,7 +436,7 @@ class TestExchange:
         keys = random_sorted_keys(rng, 300, 3, 4)
         spec = OvcSpec(3, 100)
         stream = coded(keys, spec)
-        parts = split_stream(stream, lambda k, p: k[0] % 3, 3, spec)
+        parts = split_stream(stream, lambda k, p: k[0] % 3, 3)
         merged = list(merge_streams(parts, spec))
         assert merged == stream  # same keys, same codes, same order
 
@@ -464,4 +463,4 @@ class TestExchange:
     def test_split_rejects_bad_partition(self):
         spec = OvcSpec(1, 10)
         with pytest.raises(ValueError):
-            split_stream(coded([(1,)], spec), lambda k, p: 7, 2, spec)
+            split_stream(coded([(1,)], spec), lambda k, p: 7, 2)

@@ -83,7 +83,7 @@ class TestTable2:
     def test_filter_output(self):
         spec = OvcSpec(arity=4, base=100)
         stream = [(ROWS[i], c, i) for i, c in enumerate(codes(spec))]
-        out = list(filter_stream(stream, lambda k, p: p in (0, 6), spec))
+        out = list(filter_stream(stream, lambda k, p: p in (0, 6)))
         assert len(out) == len(TABLE2_ROWS)
         for (k, c, _), (ek, am_off, value, ovc) in zip(out, TABLE2_ROWS):
             assert k == ek and c == ovc

@@ -19,8 +19,13 @@ These are the load-bearing guarantees of the paper:
   stable permutation for any signed int64 keys;
 - the vectorized merge of coded runs gives the row-wise tree's keys and
   codes, keeps equal keys in run order, and stays within N x K column
-  comparisons.
+  comparisons;
+- a sorted run written to disk gives back its keys and payloads, with
+  the codes of a fresh encoding of its keys, whatever codes the written
+  stream carried.
 """
+import os
+import tempfile
 from collections import Counter
 from itertools import groupby
 
@@ -44,6 +49,7 @@ from repro.core.ovc import (
     merge_coded_runs,
     rebase_codes,
 )
+from repro.core.runs import run_rows, write_run
 from repro.core.stats import CompareStats
 from repro.core.tree_of_losers import OvcLoserTree
 from repro.sparkops.joins import merge_kernel
@@ -208,7 +214,7 @@ def test_rebase_codes_is_recode(sides):
 def test_filter_codes(keys, keep_idx):
     keys = sorted(keys)
     stream = coded(keys, SPEC, payloads=list(range(len(keys))))
-    out = list(filter_stream(stream, lambda k, p: p in keep_idx, SPEC))
+    out = list(filter_stream(stream, lambda k, p: p in keep_idx))
     assert_valid_coded_stream(out, SPEC)
 
 
@@ -388,3 +394,42 @@ def test_merge_coded_runs_matches_tree(runs):
     same = (keys[1:] == keys[:-1]).all(axis=1)
     assert (np.diff(order)[same] > 0).all()
     assert stats.col_cmps <= len(keys) * arity
+
+
+@st.composite
+def sort_loads(draw):
+    """One memory load of an external sort: key arity 1-4 over a tiny
+    domain, an int or None payload per row, and how the load is sorted:
+    with codes, with codes and duplicate removal (count payloads), or by
+    the full-key baseline (whose stream codes are not maintained)."""
+    arity = draw(st.integers(1, 4))
+    key = st.tuples(*[st.integers(0, draw(st.integers(1, 3)))] * arity)
+    keys = draw(st.lists(key, max_size=30))
+    payloads = draw(st.lists(st.none() | st.integers(0, 1 << 40),
+                             min_size=len(keys), max_size=len(keys)))
+    return arity, keys, payloads, draw(st.sampled_from(
+        ["ovc", "dedup", "full"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sort_loads())
+@example((2, [(1, 0), (0, 1), (1, 0)], [None, 7, 0], "full"))
+@example((1, [], [], "ovc"))
+def test_run_file_round_trip(load):
+    arity, keys, payloads, how = load
+    spec = OvcSpec(arity, 4)
+    stream = list(sort_in_memory(
+        keys, spec, payloads=payloads,
+        compare=compare_full if how == "full" else compare_update))
+    if how == "dedup":
+        stream = list(dedup_stream(stream, spec, payload=len))
+    stats = CompareStats()
+    with tempfile.TemporaryDirectory() as d:
+        got = list(run_rows(write_run(os.path.join(d, "r.arrow"), stream,
+                                      spec, stats)))
+    assert stats.rows_spilled == len(stream)
+    assert [(k, p) for k, _, p in got] == [(k, p) for k, _, p in stream]
+    sorted_keys = np.array([k for k, _, _ in stream],
+                           dtype=np.int64).reshape(-1, arity)
+    assert [c for _, c, _ in got] == \
+        encode_sorted_array(sorted_keys, spec).tolist()

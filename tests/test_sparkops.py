@@ -47,6 +47,20 @@ def assert_one_hash_shuffle_in_one_job(spark, df):
     assert len(sc.statusTracker().getJobIdsForGroup(group)) == 1
 
 
+def raises_before_any_job(spark, match, plan):
+    """``plan()`` raises ``ValueError`` matching ``match`` while building
+    the plan, with no Spark job run."""
+    sc = spark.sparkContext
+    group = f"no-job-{uuid.uuid4().hex}"
+    sc.setJobGroup(group, group)
+    try:
+        with pytest.raises(ValueError, match=match):
+            plan()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    assert sc.statusTracker().getJobIdsForGroup(group) == []
+
+
 def assert_partitions_sorted_and_coded(df, cols):
     """Each Spark partition of ``df`` is sorted on ``cols`` and its
     ``_ovc`` column is the re-encode of those rows; every ``cols`` group
@@ -89,6 +103,13 @@ class TestAttachOvc:
     def test_rejects_empty_keys(self, spark, web_df):
         with pytest.raises(ValueError):
             attach_ovc(web_df, [])
+
+    def test_rejects_input_with_ovc_column(self, spark, web_df):
+        # Spark used to fail inside a task with an obscure
+        # RESULT_COLUMN_SCHEMA_MISMATCH.
+        coded = attach_ovc(web_df, KEYS4)
+        raises_before_any_job(spark, "'_ovc'",
+                              lambda: attach_ovc(coded, KEYS4))
 
 
 class TestInstreamAggregate:
@@ -133,6 +154,16 @@ class TestInstreamAggregate:
             instream_aggregate(coded, KEYS4, 4, {"x": ("*", "sum")})
         with pytest.raises(ValueError):
             instream_aggregate(coded, KEYS4, 9, {"x": ("*", "count")})
+
+    def test_rejects_aggregate_named_like_group_column(self, spark, web_df):
+        coded = attach_ovc(web_df, KEYS4)
+        raises_before_any_job(spark, "'k1'", lambda: instream_aggregate(
+            coded, KEYS4, 2, {"k1": ("v", "max")}))
+
+    def test_rejects_aggregate_named_ovc(self, spark, web_df):
+        coded = attach_ovc(web_df, KEYS4)
+        raises_before_any_job(spark, "'_ovc'", lambda: instream_aggregate(
+            coded, KEYS4, 2, {OVC_COL: ("*", "count")}))
 
 
 class TestInstreamDistinct:
@@ -329,6 +360,20 @@ class TestKeyDomain:
                                  ["a"], 1, {"s": ("v", how)})
         with pytest.raises(PythonException, match="null value in aggregated"):
             out.collect()
+
+    def test_fractional_keys_raise_before_any_job(self, spark):
+        # The int64 cast truncated them: instream_distinct returned
+        # [1.2, 2.0] where DuckDB returns three rows.
+        df = spark.createDataFrame(
+            pd.DataFrame({"k": [1.2, 1.7, 2.0, 2.0], "j": [0, 0, 0, 0]}))
+        ints = df.select(F.col("j").alias("k"))
+        plans = [lambda: attach_ovc(df, ["k"], num_partitions=1),
+                 lambda: merge_join_ovc(df, ints, ["k"], "left_semi"),
+                 lambda: merge_join_ovc(ints, df, ["k"], "left_semi"),
+                 lambda: intersect_distinct_ovc(df, ints, ["k"])]
+        for plan in plans:
+            raises_before_any_job(spark, r"\['k'\] are missing or not integ",
+                                  plan)
 
     def test_merge_join_rejects_null_key(self, spark):
         l = spark.createDataFrame([(1,), (None,)], "k long")
