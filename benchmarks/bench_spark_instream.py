@@ -133,8 +133,9 @@ def test_executor_kernel_full_compare(benchmark, partition_pdf):
 # An identity mapInPandas over 8 partitions of a cached 10-row frame
 # moves and computes next to nothing, so a round costs what one wave of
 # Python tasks costs. ``prologue`` goes through ``map_in_pandas``, which
-# evicts the worker's zip importers first; ``plain`` calls mapInPandas.
-# The eviction lasts for the life of a reused worker, so ``plain`` shows
+# runs the executor prologue first (quick ACK, heap freeze, zip-importer
+# eviction); ``plain`` calls mapInPandas. The freeze and the eviction
+# last for the life of a reused worker, so ``plain`` shows
 # the floor only in workers no sparkops operator has run in: run these
 # alone, ``pytest benchmarks/bench_spark_instream.py -k python_hop``,
 # where ``plain`` goes first.

@@ -20,7 +20,8 @@ from pyspark.sql import DataFrame
 from pyspark.sql.types import LongType, StructField, StructType
 
 from repro.core.ovc import OvcSpec, boundary_mask, rebase_codes
-from repro.sparkops.ovc_column import OVC_COL, map_in_pandas, whole_partition
+from repro.sparkops.ovc_column import (OVC_COL, check_integral_keys,
+                                       map_in_pandas, whole_partition)
 
 _AGGS = {"count", "sum", "min", "max"}
 
@@ -34,7 +35,8 @@ def instream_aggregate(
     """Aggregate a coded stream on the leading ``group_cols`` of
     ``keys``. ``aggs`` maps output column -> (input column | "*", one of
     count/sum/min/max). Output: group key columns, aggregates, ``_ovc``
-    (arity ``group_cols``).
+    (arity ``group_cols``). Raises ``ValueError`` here unless the keys,
+    ``_ovc`` and every sum/min/max source are integral input columns.
     """
     keys = list(keys)
     spec = OvcSpec(len(keys))
@@ -48,6 +50,8 @@ def instream_aggregate(
             raise ValueError(f"unsupported aggregate {how!r}")
         if how != "count" and src == "*":
             raise ValueError("column required for non-count aggregates")
+    check_integral_keys(keys + [OVC_COL] + [
+        src for src, how in aggs.values() if how != "count"], df)
     fields = [StructField(c, LongType()) for c in gcols]
     fields += [StructField(c, LongType()) for c in aggs]
     fields.append(StructField(OVC_COL, LongType(), False))
@@ -86,9 +90,13 @@ def instream_distinct(
 ) -> DataFrame:
     """Duplicate removal on the full key (Section 4.4): suppress rows
     with the duplicate code; survivors keep their codes. Optionally
-    adds a duplicate count column."""
+    adds a duplicate count column, named unlike every input column.
+    Raises ``ValueError`` here unless keys and ``_ovc`` are integral."""
     keys = list(keys)
     spec = OvcSpec(len(keys))
+    check_integral_keys(keys + [OVC_COL], df)
+    if count_col in df.columns:
+        raise ValueError(f"count column {count_col!r} names an input column")
     out_fields = list(df.schema.fields)
     if count_col:
         out_fields = [f for f in out_fields if f.name != OVC_COL]

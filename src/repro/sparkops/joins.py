@@ -39,8 +39,8 @@ from repro.core.operators.filterop import filter_codes_vectorized
 from repro.core.operators.merge_join import JoinType
 from repro.core.ovc import OvcSpec, boundary_mask, encode_sorted_array
 from repro.sparkops.ovc_column import (OVC_COL, check_integral_keys,
-                                       key_array, map_in_pandas,
-                                       whole_partition)
+                                       default_partitions, key_array,
+                                       map_in_pandas, whole_partition)
 
 _TAG = "_side"
 _LEFT, _RIGHT = 0, 1
@@ -137,9 +137,7 @@ def _merge_join(left: DataFrame, right: DataFrame, on: list[str],
         right.drop(OVC_COL).withColumn(_TAG, F.lit(_RIGHT)),
         allowMissingColumns=True,
     )
-    parts = num_partitions or int(
-        left.sparkSession.conf.get("spark.sql.shuffle.partitions")
-    )
+    parts = num_partitions or default_partitions(left)
     tagged = tagged.repartition(parts, *on).sortWithinPartitions(*on, _TAG)
 
     out_fields = [StructField(c, LongType()) for c in on]

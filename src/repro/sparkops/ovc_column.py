@@ -19,7 +19,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql.types import IntegralType, LongType, StructField, StructType
 
 from repro.core.ovc import OvcSpec, encode_sorted_array
-from repro.executor import evict_zip_importers
+from repro.executor import evict_zip_importers, prologue
 
 OVC_COL = "_ovc"
 
@@ -38,14 +38,19 @@ def key_array(pdf: pd.DataFrame, keys: Sequence[str]) -> np.ndarray:
 
 def check_integral_keys(keys: Sequence[str], *dfs: DataFrame) -> None:
     """Raise ``ValueError`` from the schemas alone, before any job, unless
-    every key column of each of ``dfs`` is integral: ``key_array``'s
-    int64 cast would truncate a fractional key with no error (1.2 would
-    equal 1.7)."""
+    every column ``keys`` names is in each of ``dfs`` and integral: a
+    kernel's int64 cast would truncate a fractional value with no error
+    (1.2 would equal 1.7)."""
     for df in dfs:
         types = {f.name: f.dataType for f in df.schema.fields}
         bad = [k for k in keys if not isinstance(types.get(k), IntegralType)]
         if bad:
-            raise ValueError(f"key columns {bad} are missing or not integral")
+            raise ValueError(f"columns {bad} are missing or not integral")
+
+
+def default_partitions(df: DataFrame) -> int:
+    """An omitted ``num_partitions``: one wave of Python tasks."""
+    return df.sparkSession.sparkContext.defaultParallelism
 
 
 def whole_partition(batches: Iterator[pd.DataFrame]) -> pd.DataFrame:
@@ -57,13 +62,13 @@ def whole_partition(batches: Iterator[pd.DataFrame]) -> pd.DataFrame:
 
 def map_in_pandas(df: DataFrame, kernel: Callable, schema: StructType
                   ) -> DataFrame:
-    """``df.mapInPandas(kernel, schema)`` with ``evict_zip_importers``
-    run before and after the kernel in every task: how each sparkops
-    kernel enters a worker. The kernel imports more of an archive while
-    it drains its batches, so the eviction after it spares the worker's
-    next task from re-reading those importers."""
+    """``df.mapInPandas(kernel, schema)`` with ``prologue`` run before the
+    kernel in every task and ``evict_zip_importers`` after it: how each
+    sparkops kernel enters a worker. The kernel imports more of an
+    archive while it drains its batches; the eviction after it spares
+    the worker's next task from re-reading those importers."""
     def task(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        evict_zip_importers()
+        prologue()
         yield from kernel(batches)
         evict_zip_importers()
     return df.mapInPandas(task, schema)
@@ -95,10 +100,8 @@ def attach_ovc(
         raise ValueError(f"input already has a {OVC_COL!r} column")
     check_integral_keys(keys, df)
     spec = OvcSpec(len(keys))
-    parts = num_partitions or df.sparkSession.conf.get(
-        "spark.sql.shuffle.partitions"
-    )
-    sdf = df.repartitionByRange(int(parts), *partition_on) \
+    parts = num_partitions or default_partitions(df)
+    sdf = df.repartitionByRange(parts, *partition_on) \
             .sortWithinPartitions(*keys)
     out_schema = StructType(
         sdf.schema.fields + [StructField(OVC_COL, LongType(), False)]

@@ -26,7 +26,7 @@ import os
 from pyspark.sql.datasource import DataSource, DataSourceReader, InputPartition
 from pyspark.sql.types import LongType, StructField, StructType
 
-from repro.executor import evict_zip_importers
+from repro.executor import evict_zip_importers, prologue
 from repro.storage.columnar import ColumnarRun
 
 
@@ -73,13 +73,17 @@ class OvcReader(DataSourceReader):
     def __init__(self, path: str) -> None:
         self.runs = _forest_runs(path)[0]
 
+    def __setstate__(self, state: dict) -> None:
+        # A task unpickles its reader before reading its partition's bytes.
+        self.__dict__.update(state)
+        prologue()
+
     def partitions(self) -> list[InputPartition]:
         return [InputPartition(p) for p in self.runs]
 
     def read(self, partition: InputPartition):
         # Runs on executors: decode one run into one Arrow batch; zero
         # key comparisons, no per-row Python.
-        evict_zip_importers()
         import pyarrow as pa
 
         run = ColumnarRun(partition.value)

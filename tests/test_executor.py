@@ -1,24 +1,41 @@
 """The executor prologue: zip importers leave ``sys.path_importer_cache``
 and imports from the archives keep working without re-reading them;
-every entry point evicts again once its kernel has drained its input."""
+every entry point evicts again once its kernel has drained its input.
+The prologue also sets ``TCP_QUICKACK`` on TCP sockets only, opening and
+closing no descriptor, and freezes the heap alive as a task starts,
+with no growth from task to task."""
+import gc
 import importlib
+import os
+import pickle
+import socket
 import sys
 import zipfile
 import zipimport
+from types import SimpleNamespace
 
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark import cloudpickle
 from pyspark.sql.types import (
     BooleanType, LongType, StringType, StructField, StructType,
 )
 
+from repro import executor
 from repro.core.ovc import OvcSpec
-from repro.executor import evict_zip_importers
+from repro.executor import evict_zip_importers, prologue
 from repro.sparkops.ovc_column import map_in_pandas
 from repro.storage.columnar import ColumnarRun
 from repro.storage.datasource import OvcReader
 from repro.storage.lsm import LsmForest
+
+
+@pytest.fixture(autouse=True)
+def _unfreeze():
+    """Tests that run the prologue here freeze the test process's heap."""
+    yield
+    gc.unfreeze()
 
 
 def _zip_importers() -> list[str]:
@@ -92,6 +109,76 @@ def test_reader_evicts_what_its_read_imported(zpkg, tmp_path, monkeypatch):
     assert _zip_importers() == []
 
 
+def test_unpickled_reader_runs_the_prologue_once(tmp_path, monkeypatch):
+    forest = LsmForest(str(tmp_path / "forest"), OvcSpec(1))
+    forest.ingest(np.array([[0], [1]]), np.array([5, 6]))
+    calls = []
+    monkeypatch.setattr("repro.storage.datasource.prologue",
+                        lambda: calls.append(1))
+    reader = OvcReader(forest.root)
+    blob = cloudpickle.dumps(reader)  # as PySpark ships it
+    assert calls == []
+    copy = pickle.loads(blob)
+    assert calls == [1]
+    assert copy.runs == reader.runs
+    list(copy.read(copy.partitions()[0]))
+    assert calls == [1]  # the read itself runs no second prologue
+
+
+def _open_fds() -> set[str]:
+    return set(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not (os.path.isdir("/proc/self/fd")
+                         and hasattr(socket, "TCP_QUICKACK")),
+                    reason="needs /proc/self/fd and TCP_QUICKACK")
+def test_prologue_sets_quickack_on_tcp_only(monkeypatch):
+    server = socket.create_server(("127.0.0.1", 0))
+    client = socket.create_connection(server.getsockname())
+    conn, _ = server.accept()
+    left, right = socket.socketpair(socket.AF_UNIX)
+    quick = []
+    setsockopt = socket.socket.setsockopt
+
+    def recording(sock, level, opt, value):
+        if (level, opt) == (socket.IPPROTO_TCP, socket.TCP_QUICKACK):
+            quick.append(sock.fileno())
+        return setsockopt(sock, level, opt, value)
+
+    monkeypatch.setattr(socket.socket, "setsockopt", recording)
+    try:
+        before = _open_fds()
+        prologue()
+        assert _open_fds() == before
+        assert {client.fileno(), conn.fileno()} <= set(quick)
+        assert not {left.fileno(), right.fileno()} & set(quick)
+        client.sendall(b"ping")
+        assert conn.recv(4) == b"ping"
+        conn.sendall(b"pong")
+        assert client.recv(4) == b"pong"
+        left.sendall(b"unix")
+        assert right.recv(4) == b"unix"
+    finally:
+        for s in (server, client, conn, left, right):
+            s.close()
+
+
+@pytest.mark.parametrize("missing", ["proc", "option"])
+def test_quick_ack_is_a_no_op_without_its_facility(monkeypatch, missing):
+    if missing == "proc":
+        monkeypatch.setattr(executor, "os", SimpleNamespace(
+            path=SimpleNamespace(isdir=lambda p: False)))
+    else:
+        monkeypatch.delattr(socket, "TCP_QUICKACK", raising=False)
+
+    def refuse(*args):
+        raise AssertionError("setsockopt called")
+
+    with socket.create_server(("127.0.0.1", 0)):
+        monkeypatch.setattr(socket.socket, "setsockopt", refuse)
+        executor.quick_ack()
+
+
 def test_prologue_in_a_spark_worker(spark):
     # A pyspark submodule no task imports; each probe unloads it again.
     unloaded = "pyspark.instrumentation_utils"
@@ -130,3 +217,23 @@ def test_prologue_in_a_spark_worker(spark):
     for r in rows:
         assert r.zip_importers == 0 and r.reads == 0, r
         assert r.fresh and "pyspark.zip" in r.file, r
+
+    def frozen(batches):
+        for _ in batches:
+            pass
+        yield pd.DataFrame({"pid": [os.getpid()],
+                            "frozen": [gc.get_freeze_count()]})
+
+    counts = {}  # worker pid -> its frozen-object count, task by task
+    schema = StructType([StructField("pid", LongType()),
+                         StructField("frozen", LongType())])
+    for _ in range(50):
+        for r in map_in_pandas(df, frozen, schema).collect():
+            counts.setdefault(r.pid, []).append(r.frozen)
+    assert sum(map(len, counts.values())) == 4 * 50
+    for pid, c in counts.items():
+        # The heap is frozen in every worker. A worker's first task may
+        # still import, and a lazily filled cache adds a few objects
+        # once; a task that left objects in the frozen generation would
+        # add at least one per task.
+        assert min(c) > 0 and c[-1] - c[min(1, len(c) - 1)] < len(c), (pid, c)

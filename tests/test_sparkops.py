@@ -165,6 +165,22 @@ class TestInstreamAggregate:
         raises_before_any_job(spark, "'_ovc'", lambda: instream_aggregate(
             coded, KEYS4, 2, {OVC_COL: ("*", "count")}))
 
+    @pytest.mark.parametrize("drop", ["k1", OVC_COL])
+    def test_rejects_input_without_ovc_or_key(self, spark, web_df, drop):
+        # Spark used to fail inside a task with a KeyError.
+        coded = attach_ovc(web_df, KEYS4).drop(drop)
+        raises_before_any_job(spark, f"'{drop}'", lambda: instream_aggregate(
+            coded, KEYS4, 2, {"cnt": ("*", "count")}))
+
+    @pytest.mark.parametrize("how", ["sum", "min", "max"])
+    def test_rejects_fractional_source_before_any_job(self, spark, how):
+        # The int64 cast truncated it: a sum of 1.5 and 1.5 read 2.
+        df = spark.createDataFrame(pd.DataFrame({"k": [1, 1], "v": [1.5, 1.5]}))
+        coded = attach_ovc(df, ["k"], num_partitions=1)
+        raises_before_any_job(spark, r"\['v'\] are missing or not integ",
+                              lambda: instream_aggregate(
+                                  coded, ["k"], 1, {"s": ("v", how)}))
+
 
 class TestInstreamDistinct:
     def test_distinct_matches_oracle(self, spark, web_df):
@@ -191,6 +207,23 @@ class TestInstreamDistinct:
         for count_col in (None, "cnt"):
             assert_partitions_sorted_and_coded(
                 instream_distinct(coded, KEYS4, count_col=count_col), KEYS4)
+
+    @pytest.mark.parametrize("name", ["v", "k", OVC_COL])
+    def test_rejects_count_col_naming_an_input_column(self, spark, name):
+        # Spark used to fail inside a task with an obscure
+        # RESULT_COLUMN_SCHEMA_MISMATCH.
+        df = spark.createDataFrame(pd.DataFrame({"k": [1, 1, 2],
+                                                 "v": [5, 6, 7]}))
+        coded = attach_ovc(df, ["k"], num_partitions=1)
+        raises_before_any_job(spark, f"'{name}'", lambda: instream_distinct(
+            coded, ["k"], count_col=name))
+
+    @pytest.mark.parametrize("drop", ["k1", OVC_COL])
+    def test_rejects_input_without_ovc_or_key(self, spark, web_df, drop):
+        # Spark used to fail inside a task with a KeyError.
+        coded = attach_ovc(web_df.select(KEYS4), KEYS4).drop(drop)
+        raises_before_any_job(spark, f"'{drop}'",
+                              lambda: instream_distinct(coded, KEYS4))
 
     def test_no_duplicate_codes_survive(self, spark, web_df):
         coded = attach_ovc(web_df.select(KEYS4), KEYS4, num_partitions=8)
@@ -332,6 +365,24 @@ class TestIntersectDistinct:
 
 class TestIntersectDistinctTwoKeys(TestIntersectDistinct):
     on = ["k", "j"]
+
+
+class TestDefaultPartitions:
+    """An omitted ``num_partitions`` is one wave of Python tasks, not
+    ``spark.sql.shuffle.partitions``."""
+
+    def test_omitted_num_partitions_is_default_parallelism(self, spark):
+        df = spark.createDataFrame(pd.DataFrame({"k": range(100)}))
+        want = spark.sparkContext.defaultParallelism
+        key, old = "spark.sql.shuffle.partitions", spark.conf.get(
+            "spark.sql.shuffle.partitions")
+        spark.conf.set(key, str(want + 3))
+        try:
+            for out in (attach_ovc(df, ["k"]), merge_join_ovc(df, df, ["k"]),
+                        intersect_distinct_ovc(df, df, ["k"])):
+                assert out.rdd.getNumPartitions() == want
+        finally:
+            spark.conf.set(key, old)
 
 
 class TestKeyDomain:
