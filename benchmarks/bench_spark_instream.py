@@ -4,7 +4,7 @@ End-to-end DataFrame pipeline at SF~0.1 scale (600k rows): range
 partition + sort + per-partition ``_ovc`` scan encode, then in-stream
 aggregation whose boundary detection is either the OVC integer test
 (``instream_aggregate``) or a full multi-column compare in the same
-mapInPandas harness. Also the native Spark hash aggregation for
+``map_in_arrow`` harness. Also the native Spark hash aggregation for
 context, and the fixed cost of one Python task (``test_python_hop``).
 """
 import numpy as np
@@ -16,7 +16,8 @@ from repro.core.ovc import OvcSpec
 from repro.oracle import assert_equivalent
 from repro.sparkops.aggregate import instream_aggregate
 from repro.sparkops.joins import intersect_distinct_ovc
-from repro.sparkops.ovc_column import OVC_COL, attach_ovc, map_in_pandas
+from repro.sparkops.ovc_column import (OVC_COL, attach_ovc, key_array,
+                                       map_in_arrow, whole_partition)
 from repro.synth_data import webkeys
 
 N = 600_000
@@ -32,28 +33,26 @@ def coded_df(spark):
 
 
 def _full_compare_aggregate(df):
-    """Same mapInPandas harness, boundaries by full column compares."""
+    """Same ``map_in_arrow`` harness as ``instream_aggregate``,
+    boundaries by full column compares."""
     fields = [StructField(c, LongType()) for c in KEYS]
     fields.append(StructField("cnt", LongType()))
     schema = StructType(fields)
 
     def run(batches):
-        parts = list(batches)
-        if not parts:
+        data = whole_partition(batches)
+        if not len(data):
             return
-        pdf = pd.concat(parts, ignore_index=True)
-        if not len(pdf):
-            return
-        g = pdf[KEYS].to_numpy(dtype=np.int64)
+        g = key_array(data, KEYS)
         bounds = np.empty(len(g), dtype=bool)
         bounds[0] = True
         np.any(g[1:] != g[:-1], axis=1, out=bounds[1:])
-        gid = np.cumsum(bounds) - 1
-        out = pdf.loc[bounds, KEYS].reset_index(drop=True)
-        out["cnt"] = np.bincount(gid)
+        starts = np.flatnonzero(bounds)
+        out = {c: data[c].take(starts) for c in KEYS}
+        out["cnt"] = np.diff(np.append(starts, len(g)))
         yield out
 
-    return df.mapInPandas(run, schema)
+    return map_in_arrow(df, run, schema)
 
 
 def test_spark_instream_ovc(benchmark, coded_df):
@@ -89,40 +88,40 @@ def test_spark_native_hash_aggregate(benchmark, coded_df):
 # (~0.6 s floor moving 600k x 6 columns into Python workers), which
 # drowns the boundary-detection difference. These two benches measure
 # the per-partition executor kernel itself on one materialized
-# partition's data — the quantity Figure 1 actually varies.
+# partition's Arrow data — the quantity Figure 1 actually varies.
 
 @pytest.fixture(scope="module")
-def partition_pdf(coded_df):
-    return coded_df.toPandas()
+def partition_table(coded_df):
+    return coded_df.toArrow()
 
 
-def test_executor_kernel_ovc(benchmark, partition_pdf):
+def test_executor_kernel_ovc(benchmark, partition_table):
     from repro.core.ovc import OvcSpec, boundary_mask
 
     spec = OvcSpec(4)
 
     def kernel():
-        codes = partition_pdf[OVC_COL].to_numpy(dtype=np.int64)
+        codes = key_array(partition_table, [OVC_COL])[:, 0]
         bounds = boundary_mask(codes, spec, 4)
         bounds[0] = True
         starts = np.flatnonzero(bounds)
-        out = partition_pdf.loc[bounds, KEYS].reset_index(drop=True)
-        out["cnt"] = np.diff(np.append(starts, len(partition_pdf)))
+        out = {c: partition_table[c].take(starts) for c in KEYS}
+        out["cnt"] = np.diff(np.append(starts, len(codes)))
         return out
 
     out = benchmark(kernel)
     assert out["cnt"].sum() == N
 
 
-def test_executor_kernel_full_compare(benchmark, partition_pdf):
+def test_executor_kernel_full_compare(benchmark, partition_table):
     def kernel():
-        g = partition_pdf[KEYS].to_numpy(dtype=np.int64)
+        g = key_array(partition_table, KEYS)
         bounds = np.empty(len(g), dtype=bool)
         bounds[0] = True
         np.any(g[1:] != g[:-1], axis=1, out=bounds[1:])
-        gid = np.cumsum(bounds) - 1
-        out = partition_pdf.loc[bounds, KEYS].reset_index(drop=True)
-        out["cnt"] = np.bincount(gid)
+        starts = np.flatnonzero(bounds)
+        out = {c: partition_table[c].take(starts) for c in KEYS}
+        out["cnt"] = np.diff(np.append(starts, len(g)))
         return out
 
     out = benchmark(kernel)
@@ -130,11 +129,11 @@ def test_executor_kernel_full_compare(benchmark, partition_pdf):
 
 
 # -- the per-Python-task floor ------------------------------------------
-# An identity mapInPandas over 8 partitions of a cached 10-row frame
+# An identity mapInArrow over 8 partitions of a cached 10-row frame
 # moves and computes next to nothing, so a round costs what one wave of
-# Python tasks costs. ``prologue`` goes through ``map_in_pandas``, which
+# Python tasks costs. ``prologue`` goes through ``map_in_arrow``, which
 # runs the executor prologue first (quick ACK, heap freeze, zip-importer
-# eviction); ``plain`` calls mapInPandas. The freeze and the eviction
+# eviction); ``plain`` calls mapInArrow. The freeze and the eviction
 # last for the life of a reused worker, so ``plain`` shows
 # the floor only in workers no sparkops operator has run in: run these
 # alone, ``pytest benchmarks/bench_spark_instream.py -k python_hop``,
@@ -154,9 +153,10 @@ def test_python_hop(benchmark, tiny_df, prologue):
 
     def run():
         if prologue:
-            out = map_in_pandas(tiny_df, same, tiny_df.schema)
+            out = map_in_arrow(tiny_df, lambda batches: (
+                {"id": b["id"]} for b in batches), tiny_df.schema)
         else:
-            out = tiny_df.mapInPandas(same, tiny_df.schema)
+            out = tiny_df.mapInArrow(same, tiny_df.schema)
         return sorted(r.id for r in out.collect())
 
     rows = benchmark.pedantic(run, rounds=10, iterations=1, warmup_rounds=1)

@@ -2,7 +2,7 @@
 
 An external sort spills each sorted memory load as a
 ``storage.columnar`` run, the file an LSM forest keeps: RLE key columns
-and an int64 payload column ``p0`` (row ids or counts; -1 for None).
+and an int64 payload column ``p0`` (row ids or counts; None is null).
 Codes are not stored: a run's RLE run starts give back each row's code
 relative to its run predecessor with no column comparison (Section
 4.10), so a re-read run is a stream ``OvcLoserTree`` merges directly.
@@ -45,8 +45,8 @@ def write_run(path: str, rows: Iterable[tuple], spec: OvcSpec,
     are dropped: ``run_rows`` derives them again from the file."""
     rows = list(rows)
     keys = np.array([r[0] for r in rows], np.int64).reshape(-1, spec.arity)
-    p0 = [-1 if p is None else p for _, _, p in rows]
-    run = write_columnar_run(path, keys, spec, {"p0": p0}, assume_sorted=True)
+    run = write_columnar_run(path, keys, spec, {"p0": [r[2] for r in rows]},
+                             assume_sorted=True)
     if stats is not None:
         stats.rows_spilled += run.n_rows
     return run
@@ -54,8 +54,7 @@ def write_run(path: str, rows: Iterable[tuple], spec: OvcSpec,
 
 def run_rows(run: ColumnarRun) -> Iterator[tuple]:
     """The run as a coded stream of ``(key, code, payload)`` rows, codes
-    relative to the run predecessor (the first primed); payload -1
-    decodes to None."""
+    relative to the run predecessor (the first primed)."""
     keys, codes, payloads = run.scan_with_ovc()
     return zip(map(tuple, keys.tolist()), codes.tolist(),
-               [None if p == -1 else p for p in payloads["p0"].tolist()])
+               payloads["p0"].tolist())

@@ -3,7 +3,7 @@
 The one unsorted kind of spill file in this repo (sorted runs are
 ``storage.columnar`` runs). A file holds named int64 columns and no
 code column, since a hash partition is unsorted: the Grace operators
-write key columns ``k0..k{K-1}`` and a payload column ``p`` (-1 for a
+write key columns ``k0..k{K-1}`` and a payload column ``p`` (null for a
 row without payload), the vectorized Figure 3 plans one column ``k``.
 Every written row counts into ``stats.rows_spilled`` (the Figure 3
 currency), so all plans pay the same per-row I/O cost. A spill file is
@@ -21,6 +21,7 @@ import pyarrow as pa
 import pyarrow.ipc as ipc
 
 from repro.core.stats import CompareStats
+from repro.storage.columnar import exact_numpy
 
 _BATCH = 65536
 
@@ -52,10 +53,11 @@ def write_spill(path: str, columns: dict[str, np.ndarray],
 
 
 def consume_spill(path: str) -> list[np.ndarray]:
-    """The columns of a spill file, in order; removes the file."""
+    """The columns of a spill file, in order (``exact_numpy``); removes
+    the file."""
     table = ipc.open_file(path).read_all()
     os.remove(path)
-    return [c.to_numpy() for c in table.columns]
+    return [exact_numpy(c) for c in table.columns]
 
 
 def partition_to_disk(
@@ -81,8 +83,7 @@ def partition_to_disk(
                    for path in paths]
 
         def flush(p: int) -> None:
-            cols = np.array(bufs[p], np.int64).reshape(-1, arity + 1).T
-            _write(writers[p], dict(zip(names, cols)), stats)
+            _write(writers[p], dict(zip(names, zip(*bufs[p]))), stats)
             bufs[p].clear()
 
         for key, payload in rows:
@@ -90,7 +91,7 @@ def partition_to_disk(
                 stats.hash_ops += 1
                 stats.col_accesses += arity
             p = hash(key) % n_parts
-            bufs[p].append((*key, -1 if payload is None else payload))
+            bufs[p].append((*key, payload))
             if len(bufs[p]) >= _BATCH:
                 flush(p)
         for p in range(n_parts):
@@ -100,7 +101,6 @@ def partition_to_disk(
 
 
 def consume_partition(path: str) -> Iterator[tuple]:
-    """A partition file's rows as ``(key, payload)``, payload -1 decoded
-    to None; removes the file."""
+    """A partition file's rows as ``(key, payload)``; removes the file."""
     *keys, pays = (c.tolist() for c in consume_spill(path))
-    return zip(zip(*keys), [None if p == -1 else p for p in pays])
+    return zip(zip(*keys), pays)

@@ -6,7 +6,7 @@ combined as Spark's own sort-merge join combines them: tag each side,
 union, hash-partition by the join key (equal keys land in one
 partition) and sort within partitions by (key, tag). Each partition
 then holds both sides' rows of whole key groups in merge order, with a
-key's left rows before its right rows, and one ``mapInPandas`` runs
+key's left rows before its right rows, and one ``mapInArrow`` runs
 ``merge_kernel`` over it. The join needs no total order across
 partitions, so there is no range-sampling job: one query is one Spark
 job.
@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
 from pyspark.sql import DataFrame, functions as F
 from pyspark.sql.types import LongType, StructField, StructType
 
@@ -40,7 +40,7 @@ from repro.core.operators.merge_join import JoinType
 from repro.core.ovc import OvcSpec, boundary_mask, encode_sorted_array
 from repro.sparkops.ovc_column import (OVC_COL, check_integral_keys,
                                        default_partitions, key_array,
-                                       map_in_pandas, whole_partition)
+                                       map_in_arrow, whole_partition)
 
 _TAG = "_side"
 _LEFT, _RIGHT = 0, 1
@@ -148,26 +148,23 @@ def _merge_join(left: DataFrame, right: DataFrame, on: list[str],
     out_fields.append(StructField(OVC_COL, LongType(), False))
     out_schema = StructType(out_fields)
 
-    def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        pdf = whole_partition(batches)
-        if not len(pdf):
+    def run(batches: Iterator[pa.RecordBatch]) -> Iterator[dict]:
+        data = whole_partition(batches)
+        if not len(data):
             return
-        keys = key_array(pdf, on)
+        keys = key_array(data, on)
         lidx, ridx, codes = merge_kernel(
-            keys, pdf[_TAG].to_numpy(), spec, jt, distinct
+            keys, data[_TAG].to_numpy(), spec, jt, distinct
         )
-        data = {c: keys[lidx, j] for j, c in enumerate(on)}
-        for c in lcols:
-            data[c] = pdf[c].to_numpy()[lidx]
-        if with_right:
-            rvalid = ridx >= 0
-            for c in rcols:
-                vals = pd.array(pdf[c].to_numpy()[np.maximum(ridx, 0)])
-                data[c] = pd.Series(vals).where(rvalid, other=pd.NA)
-        data[OVC_COL] = codes
-        yield pd.DataFrame(data)
+        out = {c: keys[lidx, j] for j, c in enumerate(on)}
+        out.update((c, data[c].take(lidx)) for c in lcols)
+        if with_right:  # a null index takes a null: unmatched outer rows
+            ridx = pa.array(ridx, mask=ridx < 0)
+            out.update((c, data[c].take(ridx)) for c in rcols)
+        out[OVC_COL] = codes
+        yield out
 
-    return map_in_pandas(tagged, run, out_schema)
+    return map_in_arrow(tagged, run, out_schema)
 
 
 def intersect_distinct_ovc(

@@ -14,8 +14,9 @@ from __future__ import annotations
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
 from pyspark.sql import DataFrame
+from pyspark.sql.pandas.types import to_arrow_schema
 from pyspark.sql.types import IntegralType, LongType, StructField, StructType
 
 from repro.core.ovc import OvcSpec, encode_sorted_array
@@ -24,16 +25,14 @@ from repro.executor import evict_zip_importers, prologue
 OVC_COL = "_ovc"
 
 
-def key_array(pdf: pd.DataFrame, keys: Sequence[str]) -> np.ndarray:
-    """The key columns of one batch as an (n, len(keys)) int64 array.
-
-    Raises ``ValueError`` on a null key: the int64 cast would turn it
-    into a garbage value that no code domain holds.
+def key_array(data: pa.Table, keys: Sequence[str]) -> np.ndarray:
+    """The key columns of a table or batch as an (n, len(keys)) int64
+    array. Raises ``ValueError`` on a null key: no code domain holds it.
     """
-    cols = pdf[list(keys)]
-    if cols.isna().to_numpy().any():
+    cols = [data[k] for k in keys]
+    if any(c.null_count for c in cols):
         raise ValueError(f"null value in key columns {list(keys)}")
-    return cols.to_numpy(dtype=np.int64)
+    return np.column_stack([c.to_numpy() for c in cols]).astype(np.int64)
 
 
 def check_integral_keys(keys: Sequence[str], *dfs: DataFrame) -> None:
@@ -53,25 +52,28 @@ def default_partitions(df: DataFrame) -> int:
     return df.sparkSession.sparkContext.defaultParallelism
 
 
-def whole_partition(batches: Iterator[pd.DataFrame]) -> pd.DataFrame:
-    """One partition's Arrow batches as one frame (empty if none), for
+def whole_partition(batches: Iterator[pa.RecordBatch]) -> pa.Table:
+    """One partition's batches as one zero-copy table (empty if none), for
     kernels that need a whole partition: memory grows with its size."""
     parts = list(batches)
-    return pd.concat(parts, ignore_index=True) if parts else pd.DataFrame()
+    return pa.Table.from_batches(parts) if parts else pa.table({})
 
 
-def map_in_pandas(df: DataFrame, kernel: Callable, schema: StructType
-                  ) -> DataFrame:
-    """``df.mapInPandas(kernel, schema)`` with ``prologue`` run before the
-    kernel in every task and ``evict_zip_importers`` after it: how each
-    sparkops kernel enters a worker. The kernel imports more of an
-    archive while it drains its batches; the eviction after it spares
-    the worker's next task from re-reading those importers."""
-    def task(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+def map_in_arrow(df: DataFrame, kernel: Callable, schema: StructType
+                 ) -> DataFrame:
+    """``df.mapInArrow`` over ``kernel``, which reads Arrow batches and
+    yields dicts of output columns, each made a batch of ``schema``'s
+    Arrow types: no value passes through pandas, which holds a nullable
+    int64 as float64. ``prologue`` runs before the kernel in every task,
+    and ``evict_zip_importers`` after it spares the worker's next task
+    from re-reading the archives the kernel imported from."""
+    def task(batches: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
         prologue()
-        yield from kernel(batches)
+        for cols in kernel(batches):
+            yield from pa.Table.from_pydict(
+                cols, to_arrow_schema(schema)).to_batches()
         evict_zip_importers()
-    return df.mapInPandas(task, schema)
+    return df.mapInArrow(task, schema)
 
 
 def attach_ovc(
@@ -107,15 +109,14 @@ def attach_ovc(
         sdf.schema.fields + [StructField(OVC_COL, LongType(), False)]
     )
 
-    def encode(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+    def encode(batches: Iterator[pa.RecordBatch]) -> Iterator[dict]:
         prev_key = None  # carries across Arrow batches of one partition
-        for pdf in batches:
-            arr = key_array(pdf, keys)
+        for batch in batches:
+            arr = key_array(batch, keys)
             codes = encode_sorted_array(arr, spec, prev_key=prev_key)
             if len(arr):
                 prev_key = tuple(int(x) for x in arr[-1])
-            out = pdf.copy()
-            out[OVC_COL] = codes
-            yield out
+            yield {**{c: batch[c] for c in batch.column_names},
+                   OVC_COL: codes}
 
-    return map_in_pandas(sdf, encode, out_schema)
+    return map_in_arrow(sdf, encode, out_schema)

@@ -19,7 +19,8 @@ metadata for both.
 
 File layout: one Arrow IPC file holding a single record batch. Key
 column ``k{i}`` is an Arrow ``run_end_encoded`` array, so only its run
-values and run ends are stored; payload columns are flat int64. Row
+values and run ends are stored; payload columns are flat int64, with
+a null for a missing payload. Row
 count, arity, base and payload names live in the schema metadata.
 """
 from __future__ import annotations
@@ -33,6 +34,15 @@ import pyarrow.ipc as ipc
 
 from repro.core.keys import sort_order
 from repro.core.ovc import OvcSpec, pack_codes
+
+
+def exact_numpy(col: pa.Array | pa.ChunkedArray) -> np.ndarray:
+    """An int64 column as numpy: int64, or object (ints and None) when
+    it holds a null, where ``to_numpy`` would round every value through
+    float64."""
+    if col.null_count:
+        return np.array(col.to_pylist(), dtype=object)
+    return col.to_numpy()
 
 
 class ColumnarRun:
@@ -62,7 +72,7 @@ class ColumnarRun:
             col = batch.column(f"k{i}")
             runs.append((col.values.to_numpy(),
                          np.diff(col.run_ends.to_numpy(), prepend=0)))
-        return runs, {m: batch.column(m).to_numpy()
+        return runs, {m: exact_numpy(batch.column(m))
                       for m in self.payload_names}
 
     def read_columns(self) -> tuple[np.ndarray, dict[str, np.ndarray]]:
@@ -99,7 +109,8 @@ def write_columnar_run(
     payloads: dict[str, np.ndarray] | None = None,
     assume_sorted: bool = False,
 ) -> ColumnarRun:
-    """Write sorted keys (+ payload columns) as an RLE columnar run.
+    """Write sorted keys (+ int64 payload columns, None a null) as an
+    RLE columnar run.
 
     Keys must be lexicographically sorted ascending (checked with one
     stable ``sort_order`` unless ``assume_sorted``) and lie
@@ -122,11 +133,11 @@ def write_columnar_run(
     for name, arr in payloads.items():
         if name in names:
             raise ValueError(f"payload name {name!r} is reserved")
-        arr = np.asarray(arr, dtype=np.int64)
+        arr = pa.array(arr, type=pa.int64())
         if len(arr) != n:
             raise ValueError(f"payload {name} has wrong length")
         names.append(name)
-        cols.append(pa.array(arr))
+        cols.append(arr)
     meta = {"n_rows": n, "arity": k, "base": spec.base,
             "payloads": list(payloads)}
     batch = pa.record_batch(cols, names=names).replace_schema_metadata(

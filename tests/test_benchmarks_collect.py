@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 HARNESS = ROOT / "ovc_bench"
 
@@ -30,12 +32,11 @@ def test_benchmarks_collect():
                 "-p", "no:cacheprovider"], ROOT / "src")
 
 
-def test_ovc_bench_imports():
-    # The harness modules import each other by bare name, as run.py does.
-    run_python(["-c", "import benchenv, gate, tracer, workloads, run"],
-               HARNESS, ROOT / "src")
-    # Most of its repro imports sit inside functions; resolve those too.
-    for path in HARNESS.glob("*.py"):
+def assert_repro_imports_resolve(folder):
+    """Every ``from repro... import`` in ``folder``'s modules, also one
+    inside a function, names something the library exports: collection
+    and a module import miss those."""
+    for path in folder.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ImportFrom) and \
                     (node.module or "").startswith("repro"):
@@ -43,3 +44,16 @@ def test_ovc_bench_imports():
                 for alias in node.names:
                     assert hasattr(module, alias.name), \
                         f"{path.name}: {node.module}.{alias.name}"
+
+
+def test_ovc_bench_imports():
+    # The harness modules import each other by bare name, as run.py does.
+    run_python(["-c", "import benchenv, gate, tracer, workloads, run"],
+               HARNESS, ROOT / "src")
+    # Most of its repro imports sit inside functions; resolve those too.
+    assert_repro_imports_resolve(HARNESS)
+
+
+@pytest.mark.parametrize("folder", ["benchmarks", "jobs"])
+def test_function_level_imports_resolve(folder):
+    assert_repro_imports_resolve(ROOT / folder)

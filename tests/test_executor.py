@@ -15,7 +15,7 @@ import zipimport
 from types import SimpleNamespace
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
 import pytest
 from pyspark import cloudpickle
 from pyspark.sql.types import (
@@ -25,7 +25,7 @@ from pyspark.sql.types import (
 from repro import executor
 from repro.core.ovc import OvcSpec
 from repro.executor import evict_zip_importers, prologue
-from repro.sparkops.ovc_column import map_in_pandas
+from repro.sparkops.ovc_column import map_in_arrow
 from repro.storage.columnar import ColumnarRun
 from repro.storage.datasource import OvcReader
 from repro.storage.lsm import LsmForest
@@ -73,22 +73,23 @@ def test_evicted_archive_still_imports_without_a_reread(zpkg, monkeypatch):
 
 
 class _Frame:
-    """Stands in for a DataFrame: keeps the task ``map_in_pandas``
-    hands to ``mapInPandas``, so it runs on the driver."""
+    """Stands in for a DataFrame: keeps the task ``map_in_arrow``
+    hands to ``mapInArrow``, so it runs on the driver."""
 
-    def mapInPandas(self, task, schema):
+    def mapInArrow(self, task, schema):
         self.task = task
         return self
 
 
 def test_task_evicts_what_its_kernel_imported(zpkg):
     def kernel(batches):
-        for pdf in batches:
+        for batch in batches:
             importlib.import_module("zpkg.first")  # an import mid-drain
-            yield pdf
+            yield {"x": batch["x"]}
 
-    task = map_in_pandas(_Frame(), kernel, None).task
-    out = list(task(iter([pd.DataFrame({"x": [1]})] * 2)))
+    schema = StructType([StructField("x", LongType())])
+    task = map_in_arrow(_Frame(), kernel, schema).task
+    out = list(task(iter([pa.record_batch({"x": [1]})] * 2)))
     assert len(out) == 2
     assert _zip_importers() == []
 
@@ -204,15 +205,15 @@ def test_prologue_in_a_spark_worker(spark):
             sys.modules.pop(unloaded, None)
         for _ in batches:
             pass
-        yield pd.DataFrame({"zip_importers": [left], "reads": [len(reads)],
-                            "fresh": [fresh], "file": [mod.__file__]})
+        yield {"zip_importers": [left], "reads": [len(reads)],
+               "fresh": [fresh], "file": [mod.__file__]}
 
     schema = StructType([StructField("zip_importers", LongType()),
                          StructField("reads", LongType()),
                          StructField("fresh", BooleanType()),
                          StructField("file", StringType())])
     df = spark.range(4).repartition(4)
-    rows = map_in_pandas(df, probe, schema).collect()
+    rows = map_in_arrow(df, probe, schema).collect()
     assert len(rows) == 4
     for r in rows:
         assert r.zip_importers == 0 and r.reads == 0, r
@@ -221,14 +222,13 @@ def test_prologue_in_a_spark_worker(spark):
     def frozen(batches):
         for _ in batches:
             pass
-        yield pd.DataFrame({"pid": [os.getpid()],
-                            "frozen": [gc.get_freeze_count()]})
+        yield {"pid": [os.getpid()], "frozen": [gc.get_freeze_count()]}
 
     counts = {}  # worker pid -> its frozen-object count, task by task
     schema = StructType([StructField("pid", LongType()),
                          StructField("frozen", LongType())])
     for _ in range(50):
-        for r in map_in_pandas(df, frozen, schema).collect():
+        for r in map_in_arrow(df, frozen, schema).collect():
             counts.setdefault(r.pid, []).append(r.frozen)
     assert sum(map(len, counts.values())) == 4 * 50
     for pid, c in counts.items():

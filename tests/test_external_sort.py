@@ -196,6 +196,17 @@ class TestExternalSort:
         list(external_sort(iter(rows), SPEC, 50, str(tmp_path / "b"), s_plain))
         assert s_dedup.rows_spilled < s_plain.rows_spilled
 
+    def test_spilled_payloads_read_back_as_in_memory(self, tmp_path):
+        # A spilled -1 read back as None: -1 stood for None on disk.
+        pays = [-1, None, 2**62, 2**62 + 1, 0]
+        rows = [((i % 3, 1, i), p) for i, p in enumerate(pays * 2)]
+        stats = CompareStats()
+        spilled = list(external_sort(iter(rows), SPEC, 1, str(tmp_path),
+                                     stats))
+        assert stats.rows_spilled == len(rows)
+        assert spilled == list(external_sort(iter(rows), SPEC, 100,
+                                             str(tmp_path)))
+
     def test_merge_runs_direct(self, tmp_path):
         rng = np.random.default_rng(11)
         all_rows = []

@@ -152,6 +152,28 @@ class TestHashJoin:
             list(hash_join(iter([]), iter([]), 1, 0, str(tmp_path)))
 
 
+@pytest.mark.parametrize("op", ["join", "aggregate"])
+def test_spilled_payloads_read_back_as_in_memory(tmp_path, op):
+    # A spilled -1 read back as None: -1 stood for None on disk.
+    pays = [-1, None, 2**62, 2**62 + 1, 0]
+    rows = [((i % 3,), p) for i, p in enumerate(pays * 2)]
+
+    def run(mem, stats=None):
+        if op == "join":
+            out = hash_join(iter(rows), iter(rows), 1, mem, str(tmp_path),
+                            stats)
+        else:
+            out = hash_aggregate(iter(rows), 1, mem, str(tmp_path), stats,
+                                 agg=lambda acc, k, p: acc + [p],
+                                 init=lambda k, p: [p])
+        return sorted(map(repr, out))
+
+    stats = CompareStats()
+    spilled = run(1, stats)
+    assert stats.rows_spilled >= len(rows)
+    assert spilled == run(100)
+
+
 class TestHashPlanCounters:
     def test_rowwise_intersect_counters(self, tmp_path):
         # Figure 3's row-wise hash plan at 200k rows per input and 20k

@@ -4,6 +4,7 @@ against DuckDB via the oracle.
 """
 import uuid
 
+import duckdb
 import numpy as np
 import pandas as pd
 import pytest
@@ -59,6 +60,26 @@ def raises_before_any_job(spark, match, plan):
     finally:
         sc.setLocalProperty("spark.jobGroup.id", None)
     assert sc.statusTracker().getJobIdsForGroup(group) == []
+
+
+def assert_exact(spark_df, sql, **tables):
+    """``spark_df`` holds the rows DuckDB computes for ``sql`` over
+    ``tables``, value for value: both sides go through Arrow and compare
+    as Python values, so an int64 near 2**63 or a null stays exact
+    (``assert_equivalent`` reads both through pandas, and float64)."""
+    con = duckdb.connect()
+    try:
+        for name, t in tables.items():
+            con.register(name, t.toArrow())
+        want = con.execute(sql).fetchall()
+        names = [d[0] for d in con.description]
+    finally:
+        con.close()
+    got = [tuple(r) for r in spark_df.select(*names).collect()]
+
+    def order(row):
+        return [(v is None, v) for v in row]
+    assert sorted(got, key=order) == sorted(want, key=order)
 
 
 def assert_partitions_sorted_and_coded(df, cols):
@@ -180,6 +201,24 @@ class TestInstreamAggregate:
         raises_before_any_job(spark, r"\['v'\] are missing or not integ",
                               lambda: instream_aggregate(
                                   coded, ["k"], 1, {"s": ("v", how)}))
+
+
+    def test_count_of_a_column_skips_nulls(self, spark):
+        # It counted rows: (1, 2), (2, 1).
+        df = spark.createDataFrame([(1, 5), (1, None), (2, None)],
+                                   "k long, v long")
+        out = instream_aggregate(attach_ovc(df, ["k"], num_partitions=1),
+                                 ["k"], 1, {"c": ("v", "count"),
+                                            "n": ("*", "count")})
+        assert_exact(out, "select k, count(v) as c, count(*) as n from t "
+                     "group by k", t=df)
+
+    def test_rejects_count_of_a_missing_column(self, spark):
+        # It counted rows.
+        df = spark.createDataFrame([(1, 5), (1, None)], "k long, v long")
+        coded = attach_ovc(df, ["k"], num_partitions=1)
+        raises_before_any_job(spark, "'nope'", lambda: instream_aggregate(
+            coded, ["k"], 1, {"c": ("nope", "count")}))
 
 
 class TestInstreamDistinct:
@@ -338,9 +377,20 @@ class TestIntersectDistinct:
 
     def test_runs_one_python_hop(self, spark, tt):
         # Duplicate removal runs inside the join kernel, not as a
-        # second mapInPandas over the join's output.
-        out = intersect_distinct_ovc(*tt, self.on, num_partitions=4)
-        assert self.final_plan(out).count("MapInPandas") == 1
+        # second Python pass over the join's output. Every operator's
+        # hop is a mapInArrow.
+        coded = attach_ovc(tt[0], self.on, num_partitions=4)
+        for out, hops in [
+            (intersect_distinct_ovc(*tt, self.on, num_partitions=4), 1),
+            (merge_join_ovc(*tt, self.on, "inner", num_partitions=4), 1),
+            (coded, 1),
+            (instream_distinct(coded, self.on, count_col="c"), 2),
+            (instream_aggregate(coded, self.on, len(self.on),
+                                {"c": ("*", "count")}), 2),
+        ]:
+            plan = self.final_plan(out)
+            assert plan.count("MapInArrow") == hops
+            assert "MapInPandas" not in plan
 
     def test_key_groups_split_across_arrow_batches(self, spark, tt):
         t1, t2 = tt
@@ -365,6 +415,47 @@ class TestIntersectDistinct:
 
 class TestIntersectDistinctTwoKeys(TestIntersectDistinct):
     on = ["k", "j"]
+
+
+class TestTypedPayloads:
+    """Non-key columns pass through every operator as they came in.
+    Through pandas, an int64 column holding a null was float64: 2**60 + 1
+    came back as 2**60."""
+    BIG = 2**60 + 1
+
+    @pytest.fixture(scope="class")
+    def lr(self, spark):
+        l = spark.createDataFrame(
+            [(1, self.BIG, 1.5, "a"), (2, None, None, None),
+             (3, -1, 2.5, "é"), (3, -1, 2.5, "é"), (4, 7, -0.0, "")],
+            "k long, lp long, ld double, ls string")
+        r = spark.createDataFrame(
+            [(1, None, 0.25, "r"), (2, self.BIG, None, "q"),
+             (2, 3, 1e300, None), (5, 3, 1.0, "s")],
+            "k long, rp long, rd double, rs string")
+        return l, r
+
+    def test_attach_ovc(self, spark, lr):
+        l = lr[0]
+        assert_exact(attach_ovc(l, ["k"], num_partitions=1),
+                     "select k, lp, ld, ls from l", l=l)
+
+    @pytest.mark.parametrize("count_col", [None, "c"])
+    def test_instream_distinct(self, spark, lr, count_col):
+        l = lr[0]
+        out = instream_distinct(attach_ovc(l, ["k"], num_partitions=1),
+                                ["k"], count_col=count_col)
+        cols = "k, lp, ld, ls" + (", count(*) as c" if count_col else "")
+        assert_exact(out, f"select {cols} from l group by k, lp, ld, ls",
+                     l=l)
+
+    @pytest.mark.parametrize("how, sql", [("inner", "join"),
+                                          ("left_outer", "left join")])
+    def test_merge_join(self, spark, lr, how, sql):
+        l, r = lr
+        out = merge_join_ovc(l, r, ["k"], how, num_partitions=2)
+        assert_exact(out, "select l.k as k, lp, ld, ls, rp, rd, rs "
+                     f"from l {sql} r on l.k = r.k", l=l, r=r)
 
 
 class TestDefaultPartitions:
