@@ -20,8 +20,8 @@ metadata for both.
 File layout: one Arrow IPC file holding a single record batch. Key
 column ``k{i}`` is an Arrow ``run_end_encoded`` array, so only its run
 values and run ends are stored; payload columns are flat int64, with
-a null for a missing payload. Row
-count, arity, base and payload names live in the schema metadata.
+a null for a missing payload. Row count, arity, base and payload names
+live in the schema metadata.
 """
 from __future__ import annotations
 
