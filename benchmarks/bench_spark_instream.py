@@ -9,7 +9,9 @@ context, and the fixed cost of one Python task (``test_python_hop``).
 """
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
+from pyspark.sql.pandas.types import to_arrow_schema
 from pyspark.sql.types import LongType, StructField, StructType
 
 from repro.core.ovc import OvcSpec
@@ -133,7 +135,8 @@ def test_executor_kernel_full_compare(benchmark, partition_table):
 # moves and computes next to nothing, so a round costs what one wave of
 # Python tasks costs. ``prologue`` goes through ``map_in_arrow``, which
 # runs the executor prologue first (quick ACK, heap freeze, zip-importer
-# eviction); ``plain`` calls mapInArrow. The freeze and the eviction
+# eviction); ``plain`` calls mapInArrow with the same kernel body, the
+# batch rebuild ``map_in_arrow`` does. The freeze and the eviction
 # last for the life of a reused worker, so ``plain`` shows
 # the floor only in workers no sparkops operator has run in: run these
 # alone, ``pytest benchmarks/bench_spark_instream.py -k python_hop``,
@@ -148,8 +151,12 @@ def tiny_df(spark):
 
 @pytest.mark.parametrize("prologue", [False, True], ids=["plain", "prologue"])
 def test_python_hop(benchmark, tiny_df, prologue):
+    arrow_schema = to_arrow_schema(tiny_df.schema)
+
     def same(batches):
-        yield from batches
+        for b in batches:
+            yield from pa.Table.from_pydict(
+                {"id": b["id"]}, arrow_schema).to_batches()
 
     def run():
         if prologue:

@@ -62,16 +62,16 @@ def whole_partition(batches: Iterator[pa.RecordBatch]) -> pa.Table:
 def map_in_arrow(df: DataFrame, kernel: Callable, schema: StructType
                  ) -> DataFrame:
     """``df.mapInArrow`` over ``kernel``, which reads Arrow batches and
-    yields dicts of output columns, each made a batch of ``schema``'s
-    Arrow types: no value passes through pandas, which holds a nullable
-    int64 as float64. ``prologue`` runs before the kernel in every task,
-    and ``evict_zip_importers`` after it spares the worker's next task
-    from re-reading the archives the kernel imported from."""
+    yields dicts of output columns, built into batches of ``schema``'s
+    Arrow types without pandas (which holds a nullable int64 as float64).
+    Every task runs ``prologue`` first and ``evict_zip_importers`` last,
+    which spares the worker's next task re-reading the kernel's imports."""
+    arrow_schema = to_arrow_schema(schema)
+
     def task(batches: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
         prologue()
         for cols in kernel(batches):
-            yield from pa.Table.from_pydict(
-                cols, to_arrow_schema(schema)).to_batches()
+            yield from pa.Table.from_pydict(cols, arrow_schema).to_batches()
         evict_zip_importers()
     return df.mapInArrow(task, schema)
 

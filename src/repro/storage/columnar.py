@@ -40,9 +40,11 @@ def exact_numpy(col: pa.Array | pa.ChunkedArray) -> np.ndarray:
     """An int64 column as numpy: int64, or object (ints and None) when
     it holds a null, where ``to_numpy`` would round every value through
     float64."""
-    if col.null_count:
-        return np.array(col.to_pylist(), dtype=object)
-    return col.to_numpy()
+    if not col.null_count:
+        return col.to_numpy()
+    out = col.fill_null(0).to_numpy().astype(object)
+    out[np.asarray(col.is_null())] = None
+    return out
 
 
 class ColumnarRun:
