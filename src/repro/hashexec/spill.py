@@ -83,8 +83,12 @@ def partition_to_disk(
                    for path in paths]
 
         def flush(p: int) -> None:
-            _write(writers[p], dict(zip(names, zip(*bufs[p]))), stats)
-            bufs[p].clear()
+            # One list per column: ``zip(*buf)`` would allocate a tracked
+            # iterator per row and set the cyclic collector off.
+            buf = bufs[p]
+            _write(writers[p], {n: [r[i] for r in buf]
+                                for i, n in enumerate(names)}, stats)
+            buf.clear()
 
         for key, payload in rows:
             if stats is not None:
