@@ -14,6 +14,7 @@ import pytest
 from pyspark.sql.pandas.types import to_arrow_schema
 from pyspark.sql.types import LongType, StructField, StructType
 
+from repro.arrowbuf import int64_array
 from repro.core.ovc import OvcSpec
 from repro.oracle import assert_equivalent
 from repro.sparkops.aggregate import instream_aggregate
@@ -50,7 +51,8 @@ def _full_compare_aggregate(df):
         bounds[0] = True
         np.any(g[1:] != g[:-1], axis=1, out=bounds[1:])
         starts = np.flatnonzero(bounds)
-        out = {c: data[c].take(starts) for c in KEYS}
+        rows = int64_array(starts)
+        out = {c: data[c].take(rows) for c in KEYS}
         out["cnt"] = np.diff(np.append(starts, len(g)))
         yield out
 
@@ -107,7 +109,7 @@ def test_executor_kernel_ovc(benchmark, partition_table):
         bounds = boundary_mask(codes, spec, 4)
         bounds[0] = True
         starts = np.flatnonzero(bounds)
-        out = {c: partition_table[c].take(starts) for c in KEYS}
+        out = {c: partition_table[c].take(int64_array(starts)) for c in KEYS}
         out["cnt"] = np.diff(np.append(starts, len(codes)))
         return out
 
@@ -122,7 +124,7 @@ def test_executor_kernel_full_compare(benchmark, partition_table):
         bounds[0] = True
         np.any(g[1:] != g[:-1], axis=1, out=bounds[1:])
         starts = np.flatnonzero(bounds)
-        out = {c: partition_table[c].take(starts) for c in KEYS}
+        out = {c: partition_table[c].take(int64_array(starts)) for c in KEYS}
         out["cnt"] = np.diff(np.append(starts, len(g)))
         return out
 
@@ -155,8 +157,8 @@ def test_python_hop(benchmark, tiny_df, prologue):
 
     def same(batches):
         for b in batches:
-            yield from pa.Table.from_pydict(
-                {"id": b["id"]}, arrow_schema).to_batches()
+            yield from pa.Table.from_arrays(
+                [b["id"]], arrow_schema.names).cast(arrow_schema).to_batches()
 
     def run():
         if prologue:

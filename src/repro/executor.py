@@ -2,7 +2,7 @@
 
 It takes two fixed waits off each Python task. ``quick_ack`` sends the
 worker's ACK of the JVM's command at once; Nagle's algorithm holds the
-JVM's next write ~40 ms for it. ``gc.freeze()`` spares the ~74k objects
+JVM's next write ~40 ms for it. ``gc.freeze()`` spares the ~47k objects
 alive as a task starts (mostly imports) from ``pyspark.daemon``'s full
 collection after each task (25-80 ms). Epilogues only evict importers:
 a freeze there would pin the kernel's garbage. Missing facilities are

@@ -20,8 +20,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.ipc as ipc
 
+from repro.arrowbuf import exact_numpy
 from repro.core.stats import CompareStats
-from repro.storage.columnar import exact_numpy
 
 _BATCH = 65536
 

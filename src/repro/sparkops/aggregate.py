@@ -18,6 +18,7 @@ import pyarrow as pa
 from pyspark.sql import DataFrame
 from pyspark.sql.types import LongType, StructField, StructType
 
+from repro.arrowbuf import int64_array, int64s
 from repro.core.ovc import OvcSpec, boundary_mask, rebase_codes
 from repro.sparkops.ovc_column import (OVC_COL, check_integral_keys,
                                        key_array, map_in_arrow,
@@ -70,17 +71,18 @@ def instream_aggregate(
         bounds = boundary_mask(codes, spec, group_cols)
         bounds[0] = True  # partition's first row starts its group
         starts = np.flatnonzero(bounds)
-        out = {c: data[c].take(starts) for c in gcols}
+        rows = int64_array(starts)
+        out = {c: data[c].take(rows) for c in gcols}
         for out_col, (src, how) in aggs.items():
             if how == "count":  # rows for "*", else non-null values
                 ones = np.ones(len(data), np.int64) if src == "*" else \
-                    data[src].is_valid().to_numpy().astype(np.int64)
+                    int64s(data[src].is_valid())
                 out[out_col] = np.add.reduceat(ones, starts)
             elif data[src].null_count:  # int64 would turn it into garbage
                 raise ValueError(f"null value in aggregated column {src!r}")
             else:
-                out[out_col] = _UFUNCS[how].reduceat(
-                    data[src].to_numpy().astype(np.int64), starts)
+                out[out_col] = _UFUNCS[how].reduceat(int64s(data[src]),
+                                                     starts)
         out[OVC_COL] = rebase_codes(codes[bounds], spec, group_cols)
         yield out
 
@@ -115,9 +117,10 @@ def instream_distinct(
         codes = key_array(data, [OVC_COL])[:, 0]
         keep = boundary_mask(codes, spec, spec.arity)
         keep[0] = True
-        out = {c: data[c].filter(keep) for c in data.column_names}
+        starts = np.flatnonzero(keep)
+        rows = int64_array(starts)
+        out = {c: data[c].take(rows) for c in data.column_names}
         if count_col:
-            starts = np.flatnonzero(keep)
             out[count_col] = np.diff(np.append(starts, len(keep)))
         yield out
 

@@ -28,13 +28,14 @@ only), ``_ovc``.
 """
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 import pyarrow as pa
 from pyspark.sql import DataFrame, functions as F
 from pyspark.sql.types import LongType, StructField, StructType
 
+from repro.arrowbuf import int64_array, int64s
 from repro.core.operators.filterop import filter_codes_vectorized
 from repro.core.operators.merge_join import JoinType
 from repro.core.ovc import OvcSpec, boundary_mask, encode_sorted_array
@@ -122,7 +123,6 @@ def merge_join_ovc(
 def _merge_join(left: DataFrame, right: DataFrame, on: list[str],
                 jt: JoinType, num_partitions: int | None,
                 distinct: bool) -> DataFrame:
-    spec = OvcSpec(len(on))
     if _TAG in left.columns or _TAG in right.columns:
         raise ValueError(f"reserved column name: {_TAG!r}")
     check_integral_keys(on, left, right)
@@ -148,23 +148,32 @@ def _merge_join(left: DataFrame, right: DataFrame, on: list[str],
     out_fields.append(StructField(OVC_COL, LongType(), False))
     out_schema = StructType(out_fields)
 
+    return map_in_arrow(tagged, join_kernel(on, lcols, rcols, jt, distinct),
+                        out_schema)
+
+
+def join_kernel(on: list[str], lcols: list[str], rcols: list[str],
+                jt: JoinType, distinct: bool) -> Callable:
+    """``_merge_join``'s kernel over one partition of the tagged union."""
+    spec = OvcSpec(len(on))
+
     def run(batches: Iterator[pa.RecordBatch]) -> Iterator[dict]:
         data = whole_partition(batches)
         if not len(data):
             return
         keys = key_array(data, on)
-        lidx, ridx, codes = merge_kernel(
-            keys, data[_TAG].to_numpy(), spec, jt, distinct
-        )
+        lidx, ridx, codes = merge_kernel(keys, int64s(data[_TAG]), spec, jt,
+                                         distinct)
         out = {c: keys[lidx, j] for j, c in enumerate(on)}
-        out.update((c, data[c].take(lidx)) for c in lcols)
-        if with_right:  # a null index takes a null: unmatched outer rows
-            ridx = pa.array(ridx, mask=ridx < 0)
+        lrows = int64_array(lidx)
+        out.update((c, data[c].take(lrows)) for c in lcols)
+        if jt in (JoinType.INNER, JoinType.LEFT_OUTER):
+            # A null index takes a null: unmatched outer rows.
+            ridx = int64_array(ridx, null=ridx < 0)
             out.update((c, data[c].take(ridx)) for c in rcols)
         out[OVC_COL] = codes
         yield out
-
-    return map_in_arrow(tagged, run, out_schema)
+    return run
 
 
 def intersect_distinct_ovc(

@@ -19,6 +19,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql.pandas.types import to_arrow_schema
 from pyspark.sql.types import IntegralType, LongType, StructField, StructType
 
+from repro.arrowbuf import int64_array, int64s
 from repro.core.ovc import OvcSpec, encode_sorted_array
 from repro.executor import evict_zip_importers, prologue
 
@@ -32,7 +33,7 @@ def key_array(data: pa.Table, keys: Sequence[str]) -> np.ndarray:
     cols = [data[k] for k in keys]
     if any(c.null_count for c in cols):
         raise ValueError(f"null value in key columns {list(keys)}")
-    return np.column_stack([c.to_numpy() for c in cols]).astype(np.int64)
+    return np.column_stack([int64s(c) for c in cols])
 
 
 def check_integral_keys(keys: Sequence[str], *dfs: DataFrame) -> None:
@@ -62,8 +63,9 @@ def whole_partition(batches: Iterator[pa.RecordBatch]) -> pa.Table:
 def map_in_arrow(df: DataFrame, kernel: Callable, schema: StructType
                  ) -> DataFrame:
     """``df.mapInArrow`` over ``kernel``, which reads Arrow batches and
-    yields dicts of output columns, built into batches of ``schema``'s
-    Arrow types without pandas (which holds a nullable int64 as float64).
+    yields dicts of output columns (Arrow, or int64 numpy), built into
+    batches of ``schema``'s Arrow types through ``repro.arrowbuf``: no
+    value passes through pandas, which holds a nullable int64 as float64.
     Every task runs ``prologue`` first and ``evict_zip_importers`` last,
     which spares the worker's next task re-reading the kernel's imports."""
     arrow_schema = to_arrow_schema(schema)
@@ -71,7 +73,11 @@ def map_in_arrow(df: DataFrame, kernel: Callable, schema: StructType
     def task(batches: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
         prologue()
         for cols in kernel(batches):
-            yield from pa.Table.from_pydict(cols, arrow_schema).to_batches()
+            arrays = [c if isinstance(c, (pa.Array, pa.ChunkedArray))
+                      else int64_array(c)
+                      for c in (cols[n] for n in arrow_schema.names)]
+            yield from pa.Table.from_arrays(arrays, arrow_schema.names) \
+                .cast(arrow_schema).to_batches()
         evict_zip_importers()
     return df.mapInArrow(task, schema)
 

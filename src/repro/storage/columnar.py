@@ -14,8 +14,10 @@ which created the run had computed — "practically for free", with zero
 column value comparisons. ``scan_with_ovc`` returns those codes as
 arrays, which ``core.ovc.merge_coded_runs`` consumes when an LSM forest
 merges its runs, and ``core.runs.run_rows`` when an external sort
-merges its spilled runs. ``ColumnarRun`` is the one reader of run
-metadata for both.
+merges its spilled runs; ``scan`` keeps the payloads as the file's Arrow
+columns, for the ``format("ovc")`` reader. ``ColumnarRun`` is the one
+reader of run metadata for all three, and ``ColumnarRun.open`` reads
+metadata and batch from one file open.
 
 File layout: one Arrow IPC file holding a single record batch. Key
 column ``k{i}`` is an Arrow ``run_end_encoded`` array, so only its run
@@ -32,60 +34,63 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.ipc as ipc
 
+from repro.arrowbuf import exact_numpy, int64s
 from repro.core.keys import sort_order
 from repro.core.ovc import OvcSpec, pack_codes
-
-
-def exact_numpy(col: pa.Array | pa.ChunkedArray) -> np.ndarray:
-    """An int64 column as numpy: int64, or object (ints and None) when
-    it holds a null, where ``to_numpy`` would round every value through
-    float64."""
-    if not col.null_count:
-        return col.to_numpy()
-    out = col.fill_null(0).to_numpy().astype(object)
-    out[np.asarray(col.is_null())] = None
-    return out
 
 
 class ColumnarRun:
     """A sorted, RLE-compressed run on disk."""
 
-    def __init__(self, path: str) -> None:
+    def __init__(self, path: str, schema: pa.Schema | None = None) -> None:
+        """``schema``: the file's, when the caller has read it already."""
         self.path = path
-        with pa.OSFile(path, "rb") as f:
-            reader = ipc.open_file(f)
-            meta = json.loads(reader.schema.metadata[b"repro"].decode())
+        if schema is None:
+            with pa.OSFile(path, "rb") as f:
+                schema = ipc.open_file(f).schema
+        meta = json.loads(schema.metadata[b"repro"].decode())
         self.n_rows: int = meta["n_rows"]
         self.arity: int = meta["arity"]
         self.base: int = meta["base"]
         self.payload_names: list[str] = meta["payloads"]
 
+    @classmethod
+    def open(cls, path: str) -> tuple[ColumnarRun, pa.RecordBatch]:
+        """The run at ``path`` and its record batch, from one file open."""
+        with pa.OSFile(path, "rb") as f:
+            reader = ipc.open_file(f)
+            return cls(path, reader.schema), reader.get_batch(0)
+
     @property
     def spec(self) -> OvcSpec:
         return OvcSpec(self.arity, self.base)
 
-    def _read(self) -> tuple[list[tuple[np.ndarray, np.ndarray]], dict]:
-        """``(values, run lengths)`` of every key column, and the
-        payload-column dict."""
-        with pa.OSFile(self.path, "rb") as f:
-            batch = ipc.open_file(f).get_batch(0)
+    def _read(self, batch: pa.RecordBatch | None = None
+              ) -> tuple[list[tuple[np.ndarray, np.ndarray]], dict]:
+        """``(values, run lengths)`` of every key column, and the Arrow
+        payload columns, of ``batch`` (default: read from the file)."""
+        if batch is None:
+            batch = self.open(self.path)[1]
         runs = []
         for i in range(self.arity):
             col = batch.column(f"k{i}")
-            runs.append((col.values.to_numpy(),
-                         np.diff(col.run_ends.to_numpy(), prepend=0)))
-        return runs, {m: exact_numpy(batch.column(m))
-                      for m in self.payload_names}
+            runs.append((int64s(col.values),
+                         np.diff(int64s(col.run_ends), prepend=0)))
+        return runs, {m: batch.column(m) for m in self.payload_names}
 
     def read_columns(self) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         """Decode to (keys (n, K) int64, payload-column dict)."""
         runs, payloads = self._read()
-        return np.column_stack([np.repeat(v, l) for v, l in runs]), payloads
+        return np.column_stack([np.repeat(v, l) for v, l in runs]), \
+            {m: exact_numpy(c) for m, c in payloads.items()}
 
-    def scan_with_ovc(self) -> tuple[np.ndarray, np.ndarray, dict]:
-        """Return (keys, codes, payloads). Codes are derived from RLE
-        run starts only — no value comparisons (see module docstring)."""
-        runs, payloads = self._read()
+    def scan(self, batch: pa.RecordBatch | None = None
+             ) -> tuple[list[np.ndarray], np.ndarray, dict[str, pa.Array]]:
+        """Return (key columns, codes, Arrow payload columns) of the run,
+        or of ``batch``, its record batch from ``open``. Codes are
+        derived from RLE run starts only — no value comparisons (see
+        module docstring)."""
+        runs, payloads = self._read(batch)
         n, k = self.n_rows, self.arity
         offsets = np.full(n, k, dtype=np.int64)
         values = np.zeros(n, dtype=np.int64)
@@ -96,8 +101,14 @@ class ColumnarRun:
             starts = np.cumsum(l) - l
             offsets[starts] = c
             values[starts] = v
-        keys = np.column_stack([np.repeat(v, l) for v, l in runs])
-        return keys, pack_codes(offsets, values, self.spec), payloads
+        return ([np.repeat(v, l) for v, l in runs],
+                pack_codes(offsets, values, self.spec), payloads)
+
+    def scan_with_ovc(self) -> tuple[np.ndarray, np.ndarray, dict]:
+        """``scan`` as (keys (n, K) int64, codes, payload-column dict)."""
+        cols, codes, payloads = self.scan()
+        return np.column_stack(cols), codes, \
+            {m: exact_numpy(c) for m, c in payloads.items()}
 
     def delete(self) -> None:
         if os.path.exists(self.path):

@@ -3,7 +3,7 @@
 Registers a batch reader under the short name ``ovc``: each Spark input
 partition maps to one columnar run of an :class:`LsmForest` directory,
 and executors reconstruct rows *and their offset-value codes* from the
-RLE metadata alone (``ColumnarRun.scan_with_ovc``) — the per-partition
+RLE metadata alone (``ColumnarRun.scan``) — the per-partition
 "encoding/decoding scheme applied during columnar scan within Spark
 executors" of the repro brief, surfaced to SQL as an ``_ovc`` column.
 
@@ -23,16 +23,18 @@ from __future__ import annotations
 
 import os
 
+import pyarrow as pa
 from pyspark.sql.datasource import DataSource, DataSourceReader, InputPartition
 from pyspark.sql.types import LongType, StructField, StructType
 
+from repro.arrowbuf import int64_array
 from repro.executor import evict_zip_importers, prologue
 from repro.storage.columnar import ColumnarRun
 
 
-def _forest_runs(path: str) -> tuple[list[str], ColumnarRun]:
-    """The run paths of an LSM directory or a single run file, and the
-    first run, whose arity and payload names every run shares."""
+def _run_paths(path: str) -> list[str]:
+    """The run paths of an LSM directory, or a single run file; every
+    run shares the first's arity and payload names."""
     if os.path.isdir(path):
         runs = sorted(
             os.path.join(path, n) for n in os.listdir(path)
@@ -42,7 +44,7 @@ def _forest_runs(path: str) -> tuple[list[str], ColumnarRun]:
         runs = [path]
     if not runs:
         raise ValueError(f"no .run files under {path}")
-    return runs, ColumnarRun(runs[0])
+    return runs
 
 
 class OvcDataSource(DataSource):
@@ -56,7 +58,7 @@ class OvcDataSource(DataSource):
         path = self.options.get("path")
         if not path:
             raise ValueError("ovc data source requires option 'path'")
-        run = _forest_runs(path)[1]
+        run = ColumnarRun(_run_paths(path)[0])
         fields = [StructField(f"k{i}", LongType()) for i in range(run.arity)]
         fields += [StructField(n, LongType()) for n in run.payload_names]
         fields.append(StructField("_ovc", LongType()))
@@ -71,7 +73,7 @@ class OvcReader(DataSourceReader):
     batch; rows carry their scan OVC."""
 
     def __init__(self, path: str) -> None:
-        self.runs = _forest_runs(path)[0]
+        self.runs = _run_paths(path)
 
     def __setstate__(self, state: dict) -> None:
         # A task unpickles its reader before reading its partition's bytes.
@@ -82,14 +84,13 @@ class OvcReader(DataSourceReader):
         return [InputPartition(p) for p in self.runs]
 
     def read(self, partition: InputPartition):
-        # Runs on executors: decode one run into one Arrow batch; zero
-        # key comparisons, no per-row Python.
-        import pyarrow as pa
-
-        run = ColumnarRun(partition.value)
-        keys, codes, payloads = run.scan_with_ovc()
-        names = [f"k{i}" for i in range(run.arity)]
+        # Runs on executors: one file open, one Arrow batch out. Keys and
+        # codes are decoded from the RLE runs with zero key comparisons;
+        # payload columns pass through as the file's Arrow arrays.
+        run, batch = ColumnarRun.open(partition.value)
+        keys, codes, payloads = run.scan(batch)
         yield pa.RecordBatch.from_arrays(
-            [pa.array(c) for c in [*keys.T, *payloads.values(), codes]],
-            names=names + run.payload_names + ["_ovc"])
+            [*map(int64_array, keys), *payloads.values(), int64_array(codes)],
+            names=[f"k{i}" for i in range(run.arity)] + run.payload_names
+            + ["_ovc"])
         evict_zip_importers()  # importers the read added since

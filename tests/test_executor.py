@@ -97,13 +97,13 @@ def test_task_evicts_what_its_kernel_imported(zpkg):
 def test_reader_evicts_what_its_read_imported(zpkg, tmp_path, monkeypatch):
     forest = LsmForest(str(tmp_path / "forest"), OvcSpec(2))
     forest.ingest(np.array([[0, 1], [1, 0]]), np.array([5, 6]))
-    scan = ColumnarRun.scan_with_ovc
+    scan = ColumnarRun.scan
 
-    def importing_scan(run):
+    def importing_scan(run, batch=None):
         importlib.import_module("zpkg.first")
-        return scan(run)
+        return scan(run, batch)
 
-    monkeypatch.setattr(ColumnarRun, "scan_with_ovc", importing_scan)
+    monkeypatch.setattr(ColumnarRun, "scan", importing_scan)
     reader = OvcReader(forest.root)
     batches = list(reader.read(reader.partitions()[0]))
     assert [b.num_rows for b in batches] == [2]
@@ -205,8 +205,9 @@ def test_prologue_in_a_spark_worker(spark):
             sys.modules.pop(unloaded, None)
         for _ in batches:
             pass
-        yield {"zip_importers": [left], "reads": [len(reads)],
-               "fresh": [fresh], "file": [mod.__file__]}
+        yield {"zip_importers": np.array([left]),
+               "reads": np.array([len(reads)]),
+               "fresh": np.array([fresh]), "file": pa.array([mod.__file__])}
 
     schema = StructType([StructField("zip_importers", LongType()),
                          StructField("reads", LongType()),
@@ -222,7 +223,8 @@ def test_prologue_in_a_spark_worker(spark):
     def frozen(batches):
         for _ in batches:
             pass
-        yield {"pid": [os.getpid()], "frozen": [gc.get_freeze_count()]}
+        yield {"pid": np.array([os.getpid()]),
+               "frozen": np.array([gc.get_freeze_count()])}
 
     counts = {}  # worker pid -> its frozen-object count, task by task
     schema = StructType([StructField("pid", LongType()),

@@ -4,7 +4,6 @@ against DuckDB via the oracle.
 """
 import uuid
 
-import duckdb
 import numpy as np
 import pandas as pd
 import pytest
@@ -60,26 +59,6 @@ def raises_before_any_job(spark, match, plan):
     finally:
         sc.setLocalProperty("spark.jobGroup.id", None)
     assert sc.statusTracker().getJobIdsForGroup(group) == []
-
-
-def assert_exact(spark_df, sql, **tables):
-    """``spark_df`` holds the rows DuckDB computes for ``sql`` over
-    ``tables``, value for value: both sides go through Arrow and compare
-    as Python values, so an int64 near 2**63 or a null stays exact
-    (``assert_equivalent`` reads both through pandas, and float64)."""
-    con = duckdb.connect()
-    try:
-        for name, t in tables.items():
-            con.register(name, t.toArrow())
-        want = con.execute(sql).fetchall()
-        names = [d[0] for d in con.description]
-    finally:
-        con.close()
-    got = [tuple(r) for r in spark_df.select(*names).collect()]
-
-    def order(row):
-        return [(v is None, v) for v in row]
-    assert sorted(got, key=order) == sorted(want, key=order)
 
 
 def assert_partitions_sorted_and_coded(df, cols):
@@ -210,8 +189,8 @@ class TestInstreamAggregate:
         out = instream_aggregate(attach_ovc(df, ["k"], num_partitions=1),
                                  ["k"], 1, {"c": ("v", "count"),
                                             "n": ("*", "count")})
-        assert_exact(out, "select k, count(v) as c, count(*) as n from t "
-                     "group by k", t=df)
+        assert_equivalent(out.drop(OVC_COL), "select k, count(v) as c, "
+                          "count(*) as n from t group by k", t=df)
 
     def test_rejects_count_of_a_missing_column(self, spark):
         # It counted rows.
@@ -437,8 +416,8 @@ class TestTypedPayloads:
 
     def test_attach_ovc(self, spark, lr):
         l = lr[0]
-        assert_exact(attach_ovc(l, ["k"], num_partitions=1),
-                     "select k, lp, ld, ls from l", l=l)
+        assert_equivalent(attach_ovc(l, ["k"], num_partitions=1)
+                          .drop(OVC_COL), "select k, lp, ld, ls from l", l=l)
 
     @pytest.mark.parametrize("count_col", [None, "c"])
     def test_instream_distinct(self, spark, lr, count_col):
@@ -446,16 +425,17 @@ class TestTypedPayloads:
         out = instream_distinct(attach_ovc(l, ["k"], num_partitions=1),
                                 ["k"], count_col=count_col)
         cols = "k, lp, ld, ls" + (", count(*) as c" if count_col else "")
-        assert_exact(out, f"select {cols} from l group by k, lp, ld, ls",
-                     l=l)
+        assert_equivalent(out.drop(OVC_COL),
+                          f"select {cols} from l group by k, lp, ld, ls", l=l)
 
     @pytest.mark.parametrize("how, sql", [("inner", "join"),
                                           ("left_outer", "left join")])
     def test_merge_join(self, spark, lr, how, sql):
         l, r = lr
         out = merge_join_ovc(l, r, ["k"], how, num_partitions=2)
-        assert_exact(out, "select l.k as k, lp, ld, ls, rp, rd, rs "
-                     f"from l {sql} r on l.k = r.k", l=l, r=r)
+        assert_equivalent(out.drop(OVC_COL),
+                          "select l.k as k, lp, ld, ls, rp, rd, rs "
+                          f"from l {sql} r on l.k = r.k", l=l, r=r)
 
 
 class TestDefaultPartitions:

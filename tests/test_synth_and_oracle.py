@@ -55,3 +55,20 @@ class TestOracle:
                 wrong, "select k0, count(*) as cnt from wk group by k0",
                 wk=wk,
             )
+
+    def test_oracle_is_exact_on_int64_beside_a_null(self, spark):
+        # Through pandas both sides were float64, and 2**60 == 2**60 + 1.
+        t = spark.createDataFrame([(1, 2**60 + 1), (2, None)],
+                                  "k long, v long")
+        sql = "select k, v from t"
+        assert_equivalent(t, sql, t=t)
+        wrong = spark.createDataFrame([(1, 2**60), (2, None)],
+                                      "k long, v long")
+        with pytest.raises(AssertionError):
+            assert_equivalent(wrong, sql, t=t)
+
+    def test_oracle_compares_doubles_within_a_tolerance(self, spark):
+        t = spark.createDataFrame([(1, 0.1 + 0.2)], "k long, d double")
+        assert_equivalent(t, "select k, 0.3::double as d from t", t=t)
+        with pytest.raises(AssertionError):
+            assert_equivalent(t, "select k, 0.31::double as d from t", t=t)
