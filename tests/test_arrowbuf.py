@@ -109,7 +109,7 @@ def test_int64_array_with_and_without_nulls():
     assert right.take(idx).to_pylist() == [None, 8, None]
 
 
-def test_zero_row_batches_through_the_builder():
+def test_zero_row_batches_through_map_in_arrow():
     schema = StructType([StructField("k", LongType()),
                          StructField("p", LongType())])
     empty = pa.record_batch([pa.array([], pa.int64())] * 2, ["k", "p"])
@@ -125,7 +125,7 @@ def test_zero_row_batches_through_the_builder():
     assert all(b.schema.names == ["k", "p"] for b in out)
 
 
-def test_builder_casts_to_the_schema_type():
+def test_map_in_arrow_casts_to_the_schema_type():
     schema = StructType([StructField("k", LongType()),
                          StructField("x", LongType())])
 
